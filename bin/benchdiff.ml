@@ -2,10 +2,12 @@
    committed baseline and gate on overhead-ratio drift. The CI benchdiff
    job runs this against BENCH_baseline.json; exit 1 means at least one
    overhead cell regressed past the threshold (or vanished from the
-   run), exit 2 means the invocation or the inputs were bad. --mode
+   run) or the correctness matrix passed fewer cases than the baseline
+   records, exit 2 means the invocation or the inputs were bad. --mode
    selects the cell family: macro (fig10/fig11/fig12 ratios, tight
-   threshold) or micro (ns/op rows from bench micro, gated loosely
-   against a separate BENCH_micro.json baseline). *)
+   threshold, plus the suite pass count) or micro (ns/op rows from
+   bench micro, gated loosely against a separate BENCH_micro.json
+   baseline). *)
 
 let usage () =
   Fmt.pr
@@ -15,7 +17,8 @@ let usage () =
     \  --run FILE      fresh bench JSON to check@.\
     \  --threshold PCT max allowed growth in percent (default 25)@.\
     \  --mode MODE     cell family to compare: macro = fig10/fig11/fig12@.\
-    \                  overhead ratios, micro = micro/* ns rows (default all)@.\
+    \                  overhead ratios and the suite pass count, micro =@.\
+    \                  micro/* ns rows (default all)@.\
     \  --summary FILE  append a markdown before/after table (for@.\
     \                  $GITHUB_STEP_SUMMARY)@."
 
@@ -69,6 +72,8 @@ let parse_args argv =
     }
     argv
 
+(* The overhead cells of the selected mode, plus the suite summary when
+   the mode covers macro cells (the suite is not a micro row). *)
 let load_cells ~mode what path =
   let contents =
     try In_channel.with_open_bin path In_channel.input_all
@@ -84,7 +89,11 @@ let load_cells ~mode what path =
         die
           (Fmt.str "%s %s contains no overhead cells for the selected mode" what
              path);
-      cells
+      let suite =
+        if mode = Reporting.Benchcmp.Micro then None
+        else Reporting.Benchcmp.suite_of_json j
+      in
+      (cells, suite)
 
 (* Markdown rendition of the outcomes, appended to --summary FILE:
    GitHub renders $GITHUB_STEP_SUMMARY, so the per-cell deltas show up
@@ -107,7 +116,16 @@ let write_summary path ~run_path ~baseline_path ~threshold outcomes =
               p "| **%s** | %.3f | %.3f | **%+.1f%%** ❌ |\n" key base run
                 drift_pct
           | Reporting.Benchcmp.Missing { key; base } ->
-              p "| **%s** | %.3f | absent | ❌ |\n" key base)
+              p "| **%s** | %.3f | absent | ❌ |\n" key base
+          | Reporting.Benchcmp.Suite { base; run = None } ->
+              p "| **suite** | %d/%d | absent | ❌ |\n" base.pass base.total
+          | Reporting.Benchcmp.Suite { base; run = Some r } ->
+              if Reporting.Benchcmp.failed oc_ then
+                p "| **suite** | %d/%d | %d/%d | ❌ |\n" base.pass base.total
+                  r.pass r.total
+              else
+                p "| suite | %d/%d | %d/%d | |\n" base.pass base.total r.pass
+                  r.total)
         outcomes;
       let failed = List.filter Reporting.Benchcmp.failed outcomes in
       if failed = [] then
@@ -124,8 +142,10 @@ let () =
   let run_path =
     match o.run with Some p -> p | None -> die "--run is required"
   in
-  let baseline = load_cells ~mode:o.mode "baseline" baseline_path in
-  let run = load_cells ~mode:o.mode "run" run_path in
+  let baseline, baseline_suite =
+    load_cells ~mode:o.mode "baseline" baseline_path
+  in
+  let run, run_suite = load_cells ~mode:o.mode "run" run_path in
   (* Run cells the baseline has never heard of are an inputs problem,
      not a drift verdict: the gate can't vouch for a cell with no
      reference, so name each one and bail with usage-style guidance. *)
@@ -148,6 +168,7 @@ let () =
       exit 2);
   let outcomes =
     Reporting.Benchcmp.compare ~threshold_pct:o.threshold ~baseline ~run
+    @ Reporting.Benchcmp.compare_suite ~baseline:baseline_suite ~run:run_suite
   in
   Fmt.pr "benchdiff: %s vs %s (threshold %+.0f%%)@." run_path baseline_path
     o.threshold;

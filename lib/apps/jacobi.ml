@@ -117,47 +117,66 @@ let device_module =
     ~kernels:[ "jacobi"; "init"; "norm" ]
     [ jacobi_func; init_func; sqdiff_func; norm_func ]
 
-(* Native "fat binary" implementations, bit-identical to the IR. *)
+(* Native "fat binary" implementations, bit-identical to the IR. Each
+   checks, before its first write, the element range its loop touches
+   ([Memsim.Access.f64_extent]) and then reads and writes the backing
+   bytes through [ld]/[st], which inline within this module, so no
+   float is boxed in the loop. *)
+
+let[@inline] ld b o i = Int64.float_of_bits (Bytes.get_int64_le b (o + (i * 8)))
+
+let[@inline] st b o i v =
+  Bytes.set_int64_le b (o + (i * 8)) (Int64.bits_of_float v)
+
+let extent = Memsim.Access.f64_extent
 
 let native_jacobi ~grid:_ (args : Kir.Interp.value array) =
   match args with
   | [| VPtr anew; VPtr aold; VInt nx; VInt ny |] ->
-      let open Memsim.Access in
-      for y = 1 to ny - 2 do
-        for x = 1 to nx - 2 do
-          let c = (y * nx) + x in
-          raw_set_f64 anew c
-            (0.25
-            *. (raw_get_f64 aold (c - nx)
-               +. raw_get_f64 aold (c + nx)
-               +. raw_get_f64 aold (c - 1)
-               +. raw_get_f64 aold (c + 1)))
+      if nx > 2 && ny > 2 then begin
+        (* Highest cells touched: aold[c + nx] and anew[c] for the last
+           interior cell c = (ny - 1) * nx - 2. *)
+        let ob, oo = extent aold ~count:((ny * nx) - 1) in
+        let nb, no = extent anew ~count:(((ny - 1) * nx) - 1) in
+        for y = 1 to ny - 2 do
+          for x = 1 to nx - 2 do
+            let c = (y * nx) + x in
+            st nb no c
+              (0.25
+              *. (ld ob oo (c - nx)
+                 +. ld ob oo (c + nx)
+                 +. ld ob oo (c - 1)
+                 +. ld ob oo (c + 1)))
+          done
         done
-      done
+      end
   | _ -> invalid_arg "native_jacobi"
 
 let native_init ~grid (args : Kir.Interp.value array) =
   match args with
   | [| VPtr a; VPtr anew; VInt nx; VInt _; VInt has_top |] ->
-      let open Memsim.Access in
+      let ab, ao = extent a ~count:grid in
+      let nb, no = extent anew ~count:grid in
       for t = 0 to grid - 1 do
         let y = t / nx in
         let v = if y = 0 && has_top = 1 then 1.0 else 0.0 in
-        raw_set_f64 a t v;
-        raw_set_f64 anew t v
+        st ab ao t v;
+        st nb no t v
       done
   | _ -> invalid_arg "native_init"
 
 let native_norm ~grid:_ (args : Kir.Interp.value array) =
   match args with
   | [| VPtr out; VPtr anew; VPtr aold; VInt n |] ->
-      let open Memsim.Access in
+      let nb, no = extent anew ~count:n in
+      let ob, oo = extent aold ~count:n in
+      let rb, ro = extent out ~count:1 in
       let s = ref 0. in
       for i = 0 to n - 1 do
-        let d = raw_get_f64 anew i -. raw_get_f64 aold i in
+        let d = ld nb no i -. ld ob oo i in
         s := !s +. (d *. d)
       done;
-      raw_set_f64 out 0 !s
+      st rb ro 0 !s
   | _ -> invalid_arg "native_norm"
 
 (* --- host code ---------------------------------------------------------- *)

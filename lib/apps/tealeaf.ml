@@ -165,87 +165,123 @@ let device_module =
 
 (* --- native fat-binary implementations ---------------------------------- *)
 
-open Memsim.Access
+(* Each kernel checks, before its first write, the element range its
+   loop touches ([Memsim.Access.f64_extent]), then reads and writes the
+   backing bytes through [ld]/[st], which inline within this module, so
+   no float is boxed in the loop. *)
+
+let[@inline] ld b o i = Int64.float_of_bits (Bytes.get_int64_le b (o + (i * 8)))
+
+let[@inline] st b o i v =
+  Bytes.set_int64_le b (o + (i * 8)) (Int64.bits_of_float v)
+
+let extent = Memsim.Access.f64_extent
+
+(* Element counts of the interior stencil on an nx × ny grid: up to the
+   last interior cell (the cell written or read at t), and up to its
+   lower neighbour (the highest cell the stencil reads). Both are 0 when
+   the grid has no interior. *)
+let interior_cells ~nx ~ny = if nx > 2 && ny > 2 then ((ny - 1) * nx) - 1 else 0
+let stencil_cells ~nx ~ny = if nx > 2 && ny > 2 then (ny * nx) - 1 else 0
 
 let native_init ~grid (args : Kir.Interp.value array) =
   match args with
   | [| VPtr u; VInt nx; VInt gny; VInt y_off |] ->
+      let ub, uo = extent u ~count:grid in
       for t = 0 to grid - 1 do
         let x = t mod nx and gy = y_off + (t / nx) in
         let hot =
           nx / 4 <= x && x < 3 * nx / 4 && gny / 4 <= gy && gy < 3 * gny / 4
         in
-        raw_set_f64 u t (if hot then 2.0 else 0.5)
+        st ub uo t (if hot then 2.0 else 0.5)
       done
   | _ -> invalid_arg "native_init"
 
 let native_copy ~grid (args : Kir.Interp.value array) =
   match args with
   | [| VPtr dst; VPtr src; VInt n |] ->
-      for t = 0 to grid - 1 do
-        if t < n then raw_set_f64 dst t (raw_get_f64 src t)
+      let count = min grid n in
+      let sb, so = extent src ~count in
+      let db, dof = extent dst ~count in
+      for t = 0 to count - 1 do
+        st db dof t (ld sb so t)
       done
   | _ -> invalid_arg "native_copy"
 
 let native_matvec ~grid:_ (args : Kir.Interp.value array) =
   match args with
   | [| VPtr w; VPtr pv; VInt nx; VInt ny; VFlt a |] ->
+      let pb, po = extent pv ~count:(stencil_cells ~nx ~ny) in
+      let wb, wo = extent w ~count:(nx * ny) in
       for t = 0 to (nx * ny) - 1 do
         let x = t mod nx and y = t / nx in
         if 1 <= x && x <= nx - 2 && 1 <= y && y <= ny - 2 then
-          raw_set_f64 w t
-            (((1. +. (4. *. a)) *. raw_get_f64 pv t)
+          st wb wo t
+            (((1. +. (4. *. a)) *. ld pb po t)
             -. (a
-               *. (raw_get_f64 pv (t - nx)
-                  +. raw_get_f64 pv (t + nx)
-                  +. raw_get_f64 pv (t - 1)
-                  +. raw_get_f64 pv (t + 1))))
-        else raw_set_f64 w t 0.
+               *. (ld pb po (t - nx)
+                  +. ld pb po (t + nx)
+                  +. ld pb po (t - 1)
+                  +. ld pb po (t + 1))))
+        else st wb wo t 0.
       done
   | _ -> invalid_arg "native_matvec"
 
 let native_cg_init ~grid:_ (args : Kir.Interp.value array) =
   match args with
   | [| VPtr r; VPtr pv; VPtr b; VPtr u; VInt nx; VInt ny; VFlt a |] ->
+      let bb, bo = extent b ~count:(interior_cells ~nx ~ny) in
+      let ub, uo = extent u ~count:(stencil_cells ~nx ~ny) in
+      let rb, ro = extent r ~count:(nx * ny) in
+      let pb, po = extent pv ~count:(nx * ny) in
       for t = 0 to (nx * ny) - 1 do
         let x = t mod nx and y = t / nx in
         if 1 <= x && x <= nx - 2 && 1 <= y && y <= ny - 2 then
-          raw_set_f64 r t
-            (raw_get_f64 b t
-            -. ((1. +. (4. *. a)) *. raw_get_f64 u t)
+          st rb ro t
+            (ld bb bo t
+            -. ((1. +. (4. *. a)) *. ld ub uo t)
             +. (a
-               *. (raw_get_f64 u (t - nx)
-                  +. raw_get_f64 u (t + nx)
-                  +. raw_get_f64 u (t - 1)
-                  +. raw_get_f64 u (t + 1))))
-        else raw_set_f64 r t 0.;
-        raw_set_f64 pv t (raw_get_f64 r t)
+               *. (ld ub uo (t - nx)
+                  +. ld ub uo (t + nx)
+                  +. ld ub uo (t - 1)
+                  +. ld ub uo (t + 1))))
+        else st rb ro t 0.;
+        st pb po t (ld rb ro t)
       done
   | _ -> invalid_arg "native_cg_init"
 
 let native_dot ~grid:_ (args : Kir.Interp.value array) =
   match args with
   | [| VPtr out; VPtr xs; VPtr ys; VInt n |] ->
+      let xb, xo = extent xs ~count:n in
+      let yb, yo = extent ys ~count:n in
+      let ob, oo = extent out ~count:1 in
       let s = ref 0. in
       for i = 0 to n - 1 do
-        s := !s +. (raw_get_f64 xs i *. raw_get_f64 ys i)
+        s := !s +. (ld xb xo i *. ld yb yo i)
       done;
-      raw_set_f64 out 0 !s
+      st ob oo 0 !s
   | _ -> invalid_arg "native_dot"
 
 let native_axpy ~grid (args : Kir.Interp.value array) =
   match args with
   | [| VPtr xs; VPtr ys; VFlt s; VInt n |] ->
-      for t = 0 to grid - 1 do
-        if t < n then raw_set_f64 xs t (raw_get_f64 xs t +. (s *. raw_get_f64 ys t))
+      let count = min grid n in
+      let yb, yo = extent ys ~count in
+      let xb, xo = extent xs ~count in
+      for t = 0 to count - 1 do
+        st xb xo t (ld xb xo t +. (s *. ld yb yo t))
       done
   | _ -> invalid_arg "native_axpy"
 
 let native_beta ~grid (args : Kir.Interp.value array) =
   match args with
   | [| VPtr pv; VPtr r; VFlt beta; VInt n |] ->
-      for t = 0 to grid - 1 do
-        if t < n then raw_set_f64 pv t (raw_get_f64 r t +. (beta *. raw_get_f64 pv t))
+      let count = min grid n in
+      let rb, ro = extent r ~count in
+      let pb, po = extent pv ~count in
+      for t = 0 to count - 1 do
+        st pb po t (ld rb ro t +. (beta *. ld pb po t))
       done
   | _ -> invalid_arg "native_beta"
 

@@ -248,12 +248,22 @@ let module_has_barrier m name =
    threads run in tid order (the device's finer interleaving does not
    matter for the inter-kernel race model, which is the paper's scope;
    intra-kernel orderings are the static race analysis's problem).
-   Barrier-free kernels take the old straight-line path. *)
+   Barrier-free kernels take a straight-line path: no barrier is
+   reachable, so no effect handler is installed; the kernel is resolved
+   once and one locals table, reset per thread, serves the whole grid. *)
 let run_kernel ?(tracer = no_trace) m ~name ~args ~grid =
-  if not (module_has_barrier m name) then
-    for tid = 0 to grid - 1 do
-      run_thread ~tracer m ~name ~args ~tid ~ntid:grid
-    done
+  if not (module_has_barrier m name) then begin
+    if grid > 0 then
+      match Ir.find_func m name with
+      | None -> raise (Runtime_error ("undefined kernel " ^ name))
+      | Some f ->
+          let locals = Hashtbl.create 8 in
+          for tid = 0 to grid - 1 do
+            Hashtbl.reset locals;
+            let fr = { args; locals; tid; ntid = grid } in
+            List.iter (exec m tracer fr) f.Ir.body
+          done
+  end
   else begin
     (* Continuations of threads parked at the current barrier. *)
     let next_wave : (unit -> unit) list ref = ref [] in

@@ -46,6 +46,19 @@ let raw_set_f32 (p : Ptr.t) i v =
   Ptr.check p ((i + 1) * 4);
   Bytes.set_int32_le p.Ptr.alloc.Alloc.data (p.Ptr.off + (i * 4)) (Int32.bits_of_float v)
 
+(* Checked extent for loops over f64 elements: one [Ptr.check] covering
+   elements [0, count), then the backing bytes and the byte offset of
+   element 0. Cross-module calls are never inlined under dune's dev
+   profile (-opaque), so a per-element [raw_get_f64] boxes its result
+   and re-checks liveness on every call; a caller that checks its
+   extent once and reads through [Bytes.get_int64_le] and
+   [Int64.float_of_bits] (which do inline) keeps its floats unboxed.
+   An empty extent touches nothing and so checks nothing, like a
+   per-element loop that never runs. *)
+let f64_extent (p : Ptr.t) ~count =
+  if count > 0 then Ptr.check p (count * f64_size);
+  (p.Ptr.alloc.Alloc.data, p.Ptr.off)
+
 (* --- instrumented host accessors ----------------------------------- *)
 
 let get_f64 p i =

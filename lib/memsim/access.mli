@@ -27,6 +27,17 @@ val raw_set_f32 : Ptr.t -> int -> float -> unit
 val raw_get_i32 : Ptr.t -> int -> int
 val raw_set_i32 : Ptr.t -> int -> int -> unit
 
+val f64_extent : Ptr.t -> count:int -> Bytes.t * int
+(** [f64_extent p ~count] checks once that elements [0, count) of [p]
+    are live and in bounds ({!Alloc.Use_after_free},
+    {!Ptr.Out_of_bounds}) and returns the backing bytes with the byte
+    offset of element 0. Element [i < count] then lives at
+    [off + 8 * i]; loops read and write it with [Bytes.get_int64_le] /
+    [Bytes.set_int64_le], which inline under [-opaque] where a
+    per-element {!raw_get_f64} call boxes its result. An empty extent
+    ([count <= 0]) checks nothing. Invisible to hooks, like the rest of
+    the raw family. *)
+
 val raw_blit : src:Ptr.t -> dst:Ptr.t -> bytes:int -> unit
 (** Bulk copy, invisible to instrumentation (DMA). *)
 

@@ -6,12 +6,18 @@
 
 type cell = { key : string; value : float }
 
+(* The correctness-matrix summary (bench target "suite"). *)
+type suite = { pass : int; total : int }
+
 type outcome =
   | Ok_cell of { key : string; base : float; run : float; drift_pct : float }
   | Regressed of { key : string; base : float; run : float; drift_pct : float }
   | Missing of { key : string; base : float }
       (* present in baseline, absent from the run: treated as a failure
          so a silently shrinking bench can't pass the gate *)
+  | Suite of { base : suite; run : suite option }
+      (* a count, not a ratio: fails when the run passes fewer cases,
+         runs fewer, or has no suite summary at all *)
 
 (* Extract comparable overhead cells from a bench JSON document.
    Recognized shapes (fields produced by bench/main.exe --json):
@@ -123,7 +129,28 @@ let unbaselined ~(baseline : cell list) ~(run : cell list) : cell list =
     (fun r -> not (List.exists (fun b -> b.key = r.key) baseline))
     run
 
-let failed = function Ok_cell _ -> false | Regressed _ | Missing _ -> true
+let suite_of_json (j : Mjson.t) : suite option =
+  match Mjson.member "suite" j with
+  | None -> None
+  | Some s -> (
+      match
+        ( Mjson.(member "pass" s |> Option.map to_int),
+          Mjson.(member "total" s |> Option.map to_int) )
+      with
+      | Some (Some pass), Some (Some total) -> Some { pass; total }
+      | _ -> None)
+
+(* The suite gate: none without a baselined summary, else one [Suite]
+   outcome. Drift thresholds do not apply to a pass count. *)
+let compare_suite ~(baseline : suite option) ~(run : suite option) :
+    outcome list =
+  match baseline with None -> [] | Some base -> [ Suite { base; run } ]
+
+let failed = function
+  | Ok_cell _ -> false
+  | Regressed _ | Missing _ -> true
+  | Suite { base; run = Some r } -> r.pass < base.pass || r.total < base.total
+  | Suite { run = None; _ } -> true
 
 let any_failed outcomes = List.exists failed outcomes
 
@@ -136,3 +163,10 @@ let pp_outcome ppf = function
         drift_pct
   | Missing { key; base } ->
       Fmt.pf ppf "MISSING   %-24s %8.3fx -> (absent from run)" key base
+  | Suite { base; run = None } ->
+      Fmt.pf ppf "MISSING   %-24s %d/%d -> (absent from run)" "suite" base.pass
+        base.total
+  | Suite { base; run = Some r } as o ->
+      Fmt.pf ppf "%-9s %-24s %d/%d -> %d/%d"
+        (if failed o then "REGRESSED" else "ok")
+        "suite" base.pass base.total r.pass r.total

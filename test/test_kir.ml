@@ -260,54 +260,128 @@ let apps_modules_validate () =
   Validate.check_module Apps.Jacobi.device_module;
   Validate.check_module Apps.Tealeaf.device_module
 
-(* Native implementations agree with the interpreted IR on small domains. *)
-let native_matches_ir () =
+(* Native implementations agree with the interpreted IR bit for bit,
+   and check exactly the extents their loops touch. Each run gets fresh
+   buffers (the pointer arguments, followed by [scalars]) with the same
+   non-trivial contents. After one launch of [grid] threads every
+   element of every buffer must carry the same bits on both sides. The
+   interpreter's tracer also yields the highest element each buffer
+   touches: shortening that buffer to end just below it must make the
+   native kernel raise [Out_of_bounds] before writing anything, and
+   ending it just after it must not raise. *)
+let native_matches m name native ~sizes ~scalars ~grid =
   with_heap @@ fun () ->
+  let mk sizes =
+    List.mapi
+      (fun k n ->
+        let p = dev_alloc n in
+        for i = 0 to n - 1 do
+          Memsim.Access.raw_set_f64 p i (sin (float (i + (101 * k))))
+        done;
+        p)
+      sizes
+  in
+  let args bufs =
+    Array.of_list (List.map (fun p -> Interp.VPtr p) bufs @ scalars)
+  in
+  let ir = mk sizes in
+  let last = Array.make (List.length sizes) (-1) in
+  let touch (p : Memsim.Ptr.t) ~bytes:_ =
+    List.iteri
+      (fun k (b : Memsim.Ptr.t) ->
+        if p.alloc == b.alloc then last.(k) <- max last.(k) ((p.off - b.off) / 8))
+      ir
+  in
+  Interp.run_kernel ~tracer:{ Interp.on_read = touch; on_write = touch } m
+    ~name ~args:(args ir) ~grid;
+  let nat = mk sizes in
+  native ~grid (args nat);
+  List.iteri
+    (fun k (n, (a, b)) ->
+      for i = 0 to n - 1 do
+        Alcotest.(check int64)
+          (Printf.sprintf "%s: buffer %d element %d" name k i)
+          (Int64.bits_of_float (Memsim.Access.raw_get_f64 a i))
+          (Int64.bits_of_float (Memsim.Access.raw_get_f64 b i))
+      done)
+    (List.combine sizes (List.combine ir nat));
+  let resized k n = List.mapi (fun j s -> if j = k then n else s) sizes in
+  Array.iteri
+    (fun k hi ->
+      if hi >= 0 then begin
+        native ~grid (args (mk (resized k (hi + 1))));
+        let bufs = mk (resized k hi) in
+        let before =
+          List.map (fun (p : Memsim.Ptr.t) -> Bytes.copy p.alloc.data) bufs
+        in
+        (match native ~grid (args bufs) with
+        | () ->
+            Alcotest.failf "%s: buffer %d one element short accepted" name k
+        | exception Memsim.Ptr.Out_of_bounds _ -> ());
+        List.iter2
+          (fun (p : Memsim.Ptr.t) b ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: overrun of buffer %d wrote nothing" name k)
+              true
+              (Bytes.equal p.alloc.data b))
+          bufs before
+      end)
+    last
+
+let native_matches_ir () =
+  let m = Apps.Jacobi.device_module in
   let nx = 8 and rows = 6 in
   let cells = nx * rows in
-  let mk () =
-    let a = dev_alloc cells and anew = dev_alloc cells in
-    for i = 0 to cells - 1 do
-      Memsim.Access.raw_set_f64 a i (sin (float i));
-      Memsim.Access.raw_set_f64 anew i 0.
-    done;
-    (a, anew)
-  in
-  (* interpreted *)
-  let a1, anew1 = mk () in
-  Interp.run_kernel Apps.Jacobi.device_module ~name:"jacobi"
-    ~args:[| VPtr anew1; VPtr a1; VInt nx; VInt rows |] ~grid:cells;
-  (* native *)
-  let a2, anew2 = mk () in
-  Apps.Jacobi.native_jacobi ~grid:cells [| VPtr anew2; VPtr a2; VInt nx; VInt rows |];
-  for i = 0 to cells - 1 do
-    Alcotest.(check (float 1e-15))
-      (Printf.sprintf "cell %d" i)
-      (Memsim.Access.raw_get_f64 anew1 i)
-      (Memsim.Access.raw_get_f64 anew2 i)
-  done
+  native_matches m "jacobi" Apps.Jacobi.native_jacobi ~sizes:[ cells; cells ]
+    ~scalars:[ VInt nx; VInt rows ] ~grid:cells;
+  List.iter
+    (fun has_top ->
+      native_matches m "init" Apps.Jacobi.native_init ~sizes:[ cells; cells ]
+        ~scalars:[ VInt nx; VInt rows; VInt has_top ] ~grid:cells)
+    [ 0; 1 ];
+  native_matches m "norm" Apps.Jacobi.native_norm ~sizes:[ 1; cells; cells ]
+    ~scalars:[ VInt (cells - (2 * nx)) ] ~grid:cells
 
 let tealeaf_native_matches_ir () =
-  with_heap @@ fun () ->
-  let nx = 6 and rows = 6 in
+  let open Apps.Tealeaf in
+  let m = device_module in
+  let nx = 6 and rows = 7 in
   let cells = nx * rows in
-  let p1 = dev_alloc cells and w1 = dev_alloc cells in
-  let p2 = dev_alloc cells and w2 = dev_alloc cells in
-  for i = 0 to cells - 1 do
-    let v = cos (float i) in
-    Memsim.Access.raw_set_f64 p1 i v;
-    Memsim.Access.raw_set_f64 p2 i v
-  done;
-  Interp.run_kernel Apps.Tealeaf.device_module ~name:"tl_matvec"
-    ~args:[| VPtr w1; VPtr p1; VInt nx; VInt rows; VFlt 0.1 |] ~grid:cells;
-  Apps.Tealeaf.native_matvec ~grid:cells
-    [| VPtr w2; VPtr p2; VInt nx; VInt rows; VFlt 0.1 |];
-  for i = 0 to cells - 1 do
-    Alcotest.(check (float 1e-15))
-      (Printf.sprintf "cell %d" i)
-      (Memsim.Access.raw_get_f64 w1 i)
-      (Memsim.Access.raw_get_f64 w2 i)
-  done
+  native_matches m "tl_init" native_init ~sizes:[ cells ]
+    ~scalars:[ VInt nx; VInt 12; VInt 3 ] ~grid:cells;
+  native_matches m "tl_copy" native_copy ~sizes:[ cells; cells ]
+    ~scalars:[ VInt (cells - 5) ] ~grid:cells;
+  native_matches m "tl_matvec" native_matvec ~sizes:[ cells; cells ]
+    ~scalars:[ VInt nx; VInt rows; VFlt 0.1 ] ~grid:cells;
+  native_matches m "tl_cg_init" native_cg_init
+    ~sizes:[ cells; cells; cells; cells ]
+    ~scalars:[ VInt nx; VInt rows; VFlt 0.1 ] ~grid:cells;
+  native_matches m "tl_dot" native_dot ~sizes:[ 1; cells; cells ]
+    ~scalars:[ VInt cells ] ~grid:1;
+  native_matches m "tl_axpy" native_axpy ~sizes:[ cells; cells ]
+    ~scalars:[ VFlt 0.37; VInt (cells - 3) ] ~grid:cells;
+  native_matches m "tl_beta" native_beta ~sizes:[ cells; cells ]
+    ~scalars:[ VFlt (-1.25); VInt (cells - 3) ] ~grid:cells
+
+let pingpong_native_matches_ir () =
+  native_matches Apps.Pingpong.fill_src "fill" Apps.Pingpong.native_fill
+    ~sizes:[ 32 ] ~scalars:[ VInt 28 ] ~grid:32
+
+(* Boxing cannot creep back into the hot kernel: one 64 × 64 sweep
+   (3844 interior cells) allocates a handful of words, not one boxed
+   float per load. *)
+let native_jacobi_allocation_free () =
+  with_heap @@ fun () ->
+  let n = 64 in
+  let args =
+    [| Interp.VPtr (dev_alloc (n * n)); VPtr (dev_alloc (n * n)); VInt n; VInt n |]
+  in
+  let before = Gc.minor_words () in
+  Apps.Jacobi.native_jacobi ~grid:(n * n) args;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words < 1000" words)
+    true (words < 1000.)
 
 let tests =
   [
@@ -346,6 +420,9 @@ let tests =
     Alcotest.test_case "app modules validate" `Quick apps_modules_validate;
     Alcotest.test_case "jacobi native = IR" `Quick native_matches_ir;
     Alcotest.test_case "tealeaf native = IR" `Quick tealeaf_native_matches_ir;
+    Alcotest.test_case "pingpong native = IR" `Quick pingpong_native_matches_ir;
+    Alcotest.test_case "native jacobi allocation-free" `Quick
+      native_jacobi_allocation_free;
   ]
 
 let () = Alcotest.run "kir" [ ("kir", tests) ]

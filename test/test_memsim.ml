@@ -188,6 +188,47 @@ let ptr_arith () =
   Alcotest.(check int) "remaining" 40 (Ptr.remaining q);
   Alcotest.(check bool) "equal" true (Ptr.equal q (Ptr.add_bytes p 24))
 
+(* Checked extents: one check covers [0, count), the returned offset is
+   element 0 of the (possibly offset) pointer, and liveness is part of
+   the check. *)
+let extent_exact () =
+  with_clean @@ fun () ->
+  let p = Heap.alloc Space.Device 64 in
+  Access.raw_set_f64 p 7 2.5;
+  let b, o = Access.f64_extent p ~count:8 in
+  Alcotest.(check int) "offset of element 0" 0 o;
+  Alcotest.(check (float 0.)) "element 7 through the bytes" 2.5
+    (Int64.float_of_bits (Bytes.get_int64_le b (o + (7 * 8))))
+
+let extent_one_past () =
+  with_clean @@ fun () ->
+  let p = Heap.alloc Space.Device 64 in
+  (match Access.f64_extent p ~count:9 with
+  | _ -> Alcotest.fail "one element past the end must raise"
+  | exception Ptr.Out_of_bounds _ -> ());
+  match Access.f64_extent (Ptr.add p ~elt:8 1) ~count:8 with
+  | _ -> Alcotest.fail "offset extent past the end must raise"
+  | exception Ptr.Out_of_bounds _ -> ()
+
+let extent_offset_base () =
+  with_clean @@ fun () ->
+  let p = Heap.alloc Space.Device 64 in
+  Access.raw_set_f64 p 3 9.0;
+  let b, o = Access.f64_extent (Ptr.add p ~elt:8 3) ~count:5 in
+  Alcotest.(check int) "base shifted by 3 elements" 24 o;
+  Alcotest.(check (float 0.)) "element 0 aliases p[3]" 9.0
+    (Int64.float_of_bits (Bytes.get_int64_le b o))
+
+let extent_use_after_free () =
+  with_clean @@ fun () ->
+  let p = Heap.alloc Space.Device 64 in
+  Heap.free p;
+  (match Access.f64_extent p ~count:1 with
+  | _ -> Alcotest.fail "extent over a freed allocation must raise"
+  | exception Alloc.Use_after_free _ -> ());
+  (* An empty extent touches nothing, so it checks nothing. *)
+  ignore (Access.f64_extent p ~count:0)
+
 (* Property: f64 round-trips through the byte representation. *)
 let prop_f64_roundtrip =
   QCheck.Test.make ~name:"f64 roundtrip" ~count:200 QCheck.float (fun v ->
@@ -238,6 +279,11 @@ let tests =
     Alcotest.test_case "blit and fill" `Quick blit_and_fill;
     Alcotest.test_case "byte accounting" `Quick accounting;
     Alcotest.test_case "pointer arithmetic" `Quick ptr_arith;
+    Alcotest.test_case "extent: exact passes" `Quick extent_exact;
+    Alcotest.test_case "extent: one past raises" `Quick extent_one_past;
+    Alcotest.test_case "extent: offset pointer shifts base" `Quick
+      extent_offset_base;
+    Alcotest.test_case "extent: use after free" `Quick extent_use_after_free;
     QCheck_alcotest.to_alcotest prop_f64_roundtrip;
     QCheck_alcotest.to_alcotest prop_disjoint_addrs;
   ]

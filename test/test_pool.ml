@@ -609,7 +609,8 @@ let benchcmp_thresholds () =
       (function
         | Ok_cell { key; _ } -> (key, "ok")
         | Regressed { key; _ } -> (key, "regressed")
-        | Missing { key; _ } -> (key, "missing"))
+        | Missing { key; _ } -> (key, "missing")
+        | Suite _ -> ("suite", "suite"))
       outcomes
   in
   Alcotest.(check (list (pair string string)))
@@ -737,6 +738,31 @@ let benchcmp_gates_fig11 () =
        (compare ~threshold_pct:25.0 ~baseline
           ~run:(cells_of_json (artifact 11.0))))
 
+(* Regression: the suite pass count was never gated, so the committed
+   baseline kept recording 87/87 after the matrix grew to 88 cases. A
+   run passing fewer cases, or running fewer, than the baseline must
+   now fail; a run without a suite summary fails like a missing cell. *)
+let benchcmp_gates_suite () =
+  let open Reporting.Mjson in
+  let artifact pass total =
+    Obj [ ("suite", Obj [ ("pass", Int pass); ("total", Int total) ]) ]
+  in
+  let open Reporting.Benchcmp in
+  let baseline = suite_of_json (artifact 86 88) in
+  let gate run = any_failed (compare_suite ~baseline ~run) in
+  Alcotest.(check bool) "same counts pass" false
+    (gate (suite_of_json (artifact 86 88)));
+  Alcotest.(check bool) "more passes and a grown matrix pass" false
+    (gate (suite_of_json (artifact 89 90)));
+  Alcotest.(check bool) "fewer passes fail" true
+    (gate (suite_of_json (artifact 85 88)));
+  Alcotest.(check bool) "a smaller total fails" true
+    (gate (suite_of_json (artifact 86 87)));
+  Alcotest.(check bool) "absent from the run fails" true (gate None);
+  Alcotest.(check int) "no baselined suite, no gate" 0
+    (List.length
+       (compare_suite ~baseline:None ~run:(Some { pass = 0; total = 0 })))
+
 let () =
   Alcotest.run "pool"
     [
@@ -799,5 +825,6 @@ let () =
             benchcmp_unbaselined;
           Alcotest.test_case "cells_of_json" `Quick benchcmp_cells_of_json;
           Alcotest.test_case "fig11 gated" `Quick benchcmp_gates_fig11;
+          Alcotest.test_case "suite gated" `Quick benchcmp_gates_suite;
         ] );
     ]

@@ -254,6 +254,72 @@ let prop_no_false_negatives =
       if oracle_has_race footprints then RA.analyze m ~entry:"k" <> []
       else true)
 
+(* --- launch loop = per-thread replay ----------------------------------- *)
+
+(* The barrier-free launch loop of [run_kernel] (one kernel lookup, no
+   effect handler, one locals table reset per thread) must behave
+   exactly like running each thread through [run_thread] in tid order:
+   same final memory, same tracer event sequence. *)
+
+let rec strip_barriers (s : Kir.Ir.stmt) : Kir.Ir.stmt list =
+  match s with
+  | Barrier -> []
+  | If (c, t, e) -> [ If (c, strip_all t, strip_all e) ]
+  | For (v, lo, hi, body) -> [ For (v, lo, hi, strip_all body) ]
+  | Store _ | Storei _ | Let _ | Call _ -> [ s ]
+
+and strip_all body = List.concat_map strip_barriers body
+
+let gen_barrier_free_kernel : Kir.Ir.modul QCheck.Gen.t =
+  QCheck.Gen.map
+    (fun (m : Kir.Ir.modul) ->
+      {
+        m with
+        funcs =
+          List.map
+            (fun (f : Kir.Ir.func) ->
+              { f with body = strip_all f.body })
+            m.funcs;
+      })
+    gen_kernel
+
+(* Final bytes of both buffers and the tracer's (write, addr, bytes)
+   events, for one execution strategy on fresh, seeded buffers. *)
+let observe run =
+  with_heap @@ fun () ->
+  let bufs = [ dev_alloc nelts; dev_alloc nelts ] in
+  List.iteri
+    (fun k p ->
+      for i = 0 to nelts - 1 do
+        Memsim.Access.raw_set_f64 p i (float_of_int ((k * nelts) + i))
+      done)
+    bufs;
+  let events = ref [] in
+  let record w p ~bytes = events := (w, Memsim.Ptr.addr p, bytes) :: !events in
+  let tracer = { Kir.Interp.on_read = record false; on_write = record true } in
+  run ~tracer (Array.of_list (List.map (fun p -> Kir.Interp.VPtr p) bufs));
+  ( List.map (fun (p : Memsim.Ptr.t) -> Bytes.to_string p.alloc.data) bufs,
+    List.rev !events )
+
+let prop_launch_loop_matches_threads =
+  QCheck.Test.make
+    ~name:"barrier-free run_kernel = per-tid run_thread (memory and trace)"
+    ~count:300
+    (QCheck.make ~print:pp_kernel gen_barrier_free_kernel)
+    (fun m ->
+      Kir.Validate.check_module m;
+      let launched =
+        observe (fun ~tracer args ->
+            Kir.Interp.run_kernel ~tracer m ~name:"k" ~args ~grid)
+      in
+      let threaded =
+        observe (fun ~tracer args ->
+            for tid = 0 to grid - 1 do
+              Kir.Interp.run_thread ~tracer m ~name:"k" ~args ~tid ~ntid:grid
+            done)
+      in
+      launched = threaded)
+
 (* --- registration -------------------------------------------------------- *)
 
 let tests =
@@ -270,6 +336,7 @@ let tests =
     Alcotest.test_case "app suite must-free" `Quick app_suite_must_free;
     Alcotest.test_case "barrier wave semantics" `Quick barrier_wave_semantics;
     QCheck_alcotest.to_alcotest prop_no_false_negatives;
+    QCheck_alcotest.to_alcotest prop_launch_loop_matches_threads;
   ]
 
 let () = Alcotest.run "race" [ ("race-analysis", tests) ]
