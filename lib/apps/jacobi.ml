@@ -119,14 +119,10 @@ let device_module =
 
 (* Native "fat binary" implementations, bit-identical to the IR. Each
    checks, before its first write, the element range its loop touches
-   ([Memsim.Access.f64_extent]) and then reads and writes the backing
-   bytes through [ld]/[st], which inline within this module, so no
-   float is boxed in the loop. *)
-
-let[@inline] ld b o i = Int64.float_of_bits (Bytes.get_int64_le b (o + (i * 8)))
-
-let[@inline] st b o i v =
-  Bytes.set_int64_le b (o + (i * 8)) (Int64.bits_of_float v)
+   ([Memsim.Access.f64_extent]) and then reads and writes the words of
+   the allocation in place with [Float.Array.get]/[set], which inline
+   to bounds-checked loads and stores, so no float is boxed and no C
+   function is called in the loop. *)
 
 let extent = Memsim.Access.f64_extent
 
@@ -136,17 +132,18 @@ let native_jacobi ~grid:_ (args : Kir.Interp.value array) =
       if nx > 2 && ny > 2 then begin
         (* Highest cells touched: aold[c + nx] and anew[c] for the last
            interior cell c = (ny - 1) * nx - 2. *)
-        let ob, oo = extent aold ~count:((ny * nx) - 1) in
-        let nb, no = extent anew ~count:(((ny - 1) * nx) - 1) in
+        let ow, oo = extent aold ~count:((ny * nx) - 1) in
+        let nw, no = extent anew ~count:(((ny - 1) * nx) - 1) in
         for y = 1 to ny - 2 do
           for x = 1 to nx - 2 do
             let c = (y * nx) + x in
-            st nb no c
+            let o = oo + c in
+            Float.Array.set nw (no + c)
               (0.25
-              *. (ld ob oo (c - nx)
-                 +. ld ob oo (c + nx)
-                 +. ld ob oo (c - 1)
-                 +. ld ob oo (c + 1)))
+              *. (Float.Array.get ow (o - nx)
+                 +. Float.Array.get ow (o + nx)
+                 +. Float.Array.get ow (o - 1)
+                 +. Float.Array.get ow (o + 1)))
           done
         done
       end
@@ -155,28 +152,28 @@ let native_jacobi ~grid:_ (args : Kir.Interp.value array) =
 let native_init ~grid (args : Kir.Interp.value array) =
   match args with
   | [| VPtr a; VPtr anew; VInt nx; VInt _; VInt has_top |] ->
-      let ab, ao = extent a ~count:grid in
-      let nb, no = extent anew ~count:grid in
+      let aw, ao = extent a ~count:grid in
+      let nw, no = extent anew ~count:grid in
       for t = 0 to grid - 1 do
         let y = t / nx in
         let v = if y = 0 && has_top = 1 then 1.0 else 0.0 in
-        st ab ao t v;
-        st nb no t v
+        Float.Array.set aw (ao + t) v;
+        Float.Array.set nw (no + t) v
       done
   | _ -> invalid_arg "native_init"
 
 let native_norm ~grid:_ (args : Kir.Interp.value array) =
   match args with
   | [| VPtr out; VPtr anew; VPtr aold; VInt n |] ->
-      let nb, no = extent anew ~count:n in
-      let ob, oo = extent aold ~count:n in
-      let rb, ro = extent out ~count:1 in
+      let nw, no = extent anew ~count:n in
+      let ow, oo = extent aold ~count:n in
+      let rw, ro = extent out ~count:1 in
       let s = ref 0. in
       for i = 0 to n - 1 do
-        let d = ld nb no i -. ld ob oo i in
+        let d = Float.Array.get nw (no + i) -. Float.Array.get ow (oo + i) in
         s := !s +. (d *. d)
       done;
-      st rb ro 0 !s
+      Float.Array.set rw ro !s
   | _ -> invalid_arg "native_norm"
 
 (* --- host code ---------------------------------------------------------- *)

@@ -38,17 +38,14 @@ let fill_src =
       ])
 
 (* Native fill: one extent check for the elements the loop writes, then
-   stores through the backing bytes ([st] inlines within this module). *)
-let[@inline] st b o i v =
-  Bytes.set_int64_le b (o + (i * 8)) (Int64.bits_of_float v)
-
+   stores straight into the allocation's words. *)
 let native_fill ~grid (args : Kir.Interp.value array) =
   match args with
   | [| VPtr buf; VInt n |] ->
       let count = min grid n in
-      let b, o = Memsim.Access.f64_extent buf ~count in
+      let w, o = Memsim.Access.f64_extent buf ~count in
       for t = 0 to count - 1 do
-        st b o t (float_of_int t)
+        Float.Array.set w (o + t) (float_of_int t)
       done
   | _ -> invalid_arg "native_fill"
 

@@ -167,13 +167,9 @@ let device_module =
 
 (* Each kernel checks, before its first write, the element range its
    loop touches ([Memsim.Access.f64_extent]), then reads and writes the
-   backing bytes through [ld]/[st], which inline within this module, so
-   no float is boxed in the loop. *)
-
-let[@inline] ld b o i = Int64.float_of_bits (Bytes.get_int64_le b (o + (i * 8)))
-
-let[@inline] st b o i v =
-  Bytes.set_int64_le b (o + (i * 8)) (Int64.bits_of_float v)
+   words of the allocation in place with [Float.Array.get]/[set], which
+   inline to bounds-checked loads and stores, so no float is boxed and
+   no C function is called in the loop. *)
 
 let extent = Memsim.Access.f64_extent
 
@@ -187,13 +183,13 @@ let stencil_cells ~nx ~ny = if nx > 2 && ny > 2 then (ny * nx) - 1 else 0
 let native_init ~grid (args : Kir.Interp.value array) =
   match args with
   | [| VPtr u; VInt nx; VInt gny; VInt y_off |] ->
-      let ub, uo = extent u ~count:grid in
+      let uw, uo = extent u ~count:grid in
       for t = 0 to grid - 1 do
         let x = t mod nx and gy = y_off + (t / nx) in
         let hot =
           nx / 4 <= x && x < 3 * nx / 4 && gny / 4 <= gy && gy < 3 * gny / 4
         in
-        st ub uo t (if hot then 2.0 else 0.5)
+        Float.Array.set uw (uo + t) (if hot then 2.0 else 0.5)
       done
   | _ -> invalid_arg "native_init"
 
@@ -201,76 +197,81 @@ let native_copy ~grid (args : Kir.Interp.value array) =
   match args with
   | [| VPtr dst; VPtr src; VInt n |] ->
       let count = min grid n in
-      let sb, so = extent src ~count in
-      let db, dof = extent dst ~count in
+      let sw, so = extent src ~count in
+      let dw, dof = extent dst ~count in
       for t = 0 to count - 1 do
-        st db dof t (ld sb so t)
+        Float.Array.set dw (dof + t) (Float.Array.get sw (so + t))
       done
   | _ -> invalid_arg "native_copy"
 
 let native_matvec ~grid:_ (args : Kir.Interp.value array) =
   match args with
   | [| VPtr w; VPtr pv; VInt nx; VInt ny; VFlt a |] ->
-      let pb, po = extent pv ~count:(stencil_cells ~nx ~ny) in
-      let wb, wo = extent w ~count:(nx * ny) in
+      let pw, po = extent pv ~count:(stencil_cells ~nx ~ny) in
+      let ww, wo = extent w ~count:(nx * ny) in
       for t = 0 to (nx * ny) - 1 do
         let x = t mod nx and y = t / nx in
-        if 1 <= x && x <= nx - 2 && 1 <= y && y <= ny - 2 then
-          st wb wo t
-            (((1. +. (4. *. a)) *. ld pb po t)
+        if 1 <= x && x <= nx - 2 && 1 <= y && y <= ny - 2 then begin
+          let o = po + t in
+          Float.Array.set ww (wo + t)
+            (((1. +. (4. *. a)) *. Float.Array.get pw o)
             -. (a
-               *. (ld pb po (t - nx)
-                  +. ld pb po (t + nx)
-                  +. ld pb po (t - 1)
-                  +. ld pb po (t + 1))))
-        else st wb wo t 0.
+               *. (Float.Array.get pw (o - nx)
+                  +. Float.Array.get pw (o + nx)
+                  +. Float.Array.get pw (o - 1)
+                  +. Float.Array.get pw (o + 1))))
+        end
+        else Float.Array.set ww (wo + t) 0.
       done
   | _ -> invalid_arg "native_matvec"
 
 let native_cg_init ~grid:_ (args : Kir.Interp.value array) =
   match args with
   | [| VPtr r; VPtr pv; VPtr b; VPtr u; VInt nx; VInt ny; VFlt a |] ->
-      let bb, bo = extent b ~count:(interior_cells ~nx ~ny) in
-      let ub, uo = extent u ~count:(stencil_cells ~nx ~ny) in
-      let rb, ro = extent r ~count:(nx * ny) in
-      let pb, po = extent pv ~count:(nx * ny) in
+      let bw, bo = extent b ~count:(interior_cells ~nx ~ny) in
+      let uw, uo = extent u ~count:(stencil_cells ~nx ~ny) in
+      let rw, ro = extent r ~count:(nx * ny) in
+      let pw, po = extent pv ~count:(nx * ny) in
       for t = 0 to (nx * ny) - 1 do
         let x = t mod nx and y = t / nx in
-        if 1 <= x && x <= nx - 2 && 1 <= y && y <= ny - 2 then
-          st rb ro t
-            (ld bb bo t
-            -. ((1. +. (4. *. a)) *. ld ub uo t)
+        if 1 <= x && x <= nx - 2 && 1 <= y && y <= ny - 2 then begin
+          let o = uo + t in
+          Float.Array.set rw (ro + t)
+            (Float.Array.get bw (bo + t)
+            -. ((1. +. (4. *. a)) *. Float.Array.get uw o)
             +. (a
-               *. (ld ub uo (t - nx)
-                  +. ld ub uo (t + nx)
-                  +. ld ub uo (t - 1)
-                  +. ld ub uo (t + 1))))
-        else st rb ro t 0.;
-        st pb po t (ld rb ro t)
+               *. (Float.Array.get uw (o - nx)
+                  +. Float.Array.get uw (o + nx)
+                  +. Float.Array.get uw (o - 1)
+                  +. Float.Array.get uw (o + 1))))
+        end
+        else Float.Array.set rw (ro + t) 0.;
+        Float.Array.set pw (po + t) (Float.Array.get rw (ro + t))
       done
   | _ -> invalid_arg "native_cg_init"
 
 let native_dot ~grid:_ (args : Kir.Interp.value array) =
   match args with
   | [| VPtr out; VPtr xs; VPtr ys; VInt n |] ->
-      let xb, xo = extent xs ~count:n in
-      let yb, yo = extent ys ~count:n in
-      let ob, oo = extent out ~count:1 in
+      let xw, xo = extent xs ~count:n in
+      let yw, yo = extent ys ~count:n in
+      let ow, oo = extent out ~count:1 in
       let s = ref 0. in
       for i = 0 to n - 1 do
-        s := !s +. (ld xb xo i *. ld yb yo i)
+        s := !s +. (Float.Array.get xw (xo + i) *. Float.Array.get yw (yo + i))
       done;
-      st ob oo 0 !s
+      Float.Array.set ow oo !s
   | _ -> invalid_arg "native_dot"
 
 let native_axpy ~grid (args : Kir.Interp.value array) =
   match args with
   | [| VPtr xs; VPtr ys; VFlt s; VInt n |] ->
       let count = min grid n in
-      let yb, yo = extent ys ~count in
-      let xb, xo = extent xs ~count in
+      let yw, yo = extent ys ~count in
+      let xw, xo = extent xs ~count in
       for t = 0 to count - 1 do
-        st xb xo t (ld xb xo t +. (s *. ld yb yo t))
+        Float.Array.set xw (xo + t)
+          (Float.Array.get xw (xo + t) +. (s *. Float.Array.get yw (yo + t)))
       done
   | _ -> invalid_arg "native_axpy"
 
@@ -278,10 +279,11 @@ let native_beta ~grid (args : Kir.Interp.value array) =
   match args with
   | [| VPtr pv; VPtr r; VFlt beta; VInt n |] ->
       let count = min grid n in
-      let rb, ro = extent r ~count in
-      let pb, po = extent pv ~count in
+      let rw, ro = extent r ~count in
+      let pw, po = extent pv ~count in
       for t = 0 to count - 1 do
-        st pb po t (ld rb ro t +. (beta *. ld pb po t))
+        Float.Array.set pw (po + t)
+          (Float.Array.get rw (ro + t) +. (beta *. Float.Array.get pw (po + t)))
       done
   | _ -> invalid_arg "native_beta"
 

@@ -10,7 +10,9 @@ type t = {
   id : int;
   space : Space.t;
   size : int; (* bytes *)
-  data : Bytes.t;
+  data : floatarray;
+      (* ceil(size / 8) little-endian 64-bit words: byte k is byte
+         [k land 7] of word [k lsr 3]. Only [Access] reads it. *)
   tag : string; (* provenance label for reports, e.g. "d_a" *)
   mutable freed : bool;
 }

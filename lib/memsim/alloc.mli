@@ -13,7 +13,12 @@ type t = {
   id : int;
   space : Space.t;
   size : int;  (** bytes *)
-  data : Bytes.t;  (** backing store *)
+  data : floatarray;
+      (** Backing store: [ceil (size / 8)] little-endian 64-bit words, so
+          byte [k] of the allocation is byte [k land 7] of word [k lsr 3]
+          and an f64 at an 8-aligned offset is exactly one word. Only
+          {!Access} reads or writes it; everything else goes through the
+          checked accessors there. *)
   tag : string;  (** provenance label for reports, e.g. ["d_a"] *)
   mutable freed : bool;
 }

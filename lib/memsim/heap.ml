@@ -21,9 +21,8 @@ let alloc ?(tag = "alloc") space size =
   let st = Domain.DLS.get state in
   let id = st.next_id in
   st.next_id <- st.next_id + 1;
-  let a =
-    { Alloc.id; space; size; data = Bytes.make size '\000'; tag; freed = false }
-  in
+  let data = Float.Array.make ((size + 7) lsr 3) 0. in
+  let a = { Alloc.id; space; size; data; tag; freed = false } in
   Hashtbl.replace st.live id a;
   st.bytes_live <- st.bytes_live + size;
   if st.bytes_live > st.bytes_peak then st.bytes_peak <- st.bytes_live;

@@ -300,10 +300,7 @@ let deliver t (pr : posted_recv) (m : message) =
          (Fmt.str "message of %d bytes into %d-byte receive (%a)" len cap
             Request.pp pr.r_req))
   end;
-  let dst = pr.r_req.Request.buf in
-  Memsim.Ptr.check dst len;
-  Bytes.blit m.m_data 0 dst.Memsim.Ptr.alloc.Memsim.Alloc.data
-    dst.Memsim.Ptr.off len;
+  Memsim.Access.raw_write_bytes pr.r_req.Request.buf m.m_data;
   m.m_delivered <- true;
   pr.r_matched <- true;
   pr.r_req.Request.complete <- true

@@ -134,17 +134,13 @@ let run ?watchdog ?picker ~nranks f =
 
 (* --- point-to-point ----------------------------------------------------- *)
 
-let snapshot (buf : Ptr.t) bytes =
-  Ptr.check buf bytes;
-  Bytes.sub buf.Ptr.alloc.Alloc.data buf.Ptr.off bytes
-
 let send ctx ~buf ~count ~dt ~dst ~tag =
   guard ctx ~site:Faultsim.Site.Mpi_send
     ~call:(Fmt.str "MPI_Send(dst=%d, tag=%d)" dst tag)
     ~default:(fun () -> ()) (fun () ->
       let call = H.Send { buf; count; dt; dst; tag } in
       H.fire ~rank:ctx.rank H.Pre call;
-      let data = snapshot buf (count * dt.Datatype.size) in
+      let data = Access.raw_read_bytes buf ~bytes:(count * dt.Datatype.size) in
       ignore (Comm.deposit ctx.comm ~src:ctx.rank ~dst ~tag ~data);
       H.fire ~rank:ctx.rank H.Post call)
 
@@ -157,7 +153,7 @@ let ssend ctx ~buf ~count ~dt ~dst ~tag =
     ~default:(fun () -> ()) (fun () ->
       let call = H.Ssend { buf; count; dt; dst; tag } in
       H.fire ~rank:ctx.rank H.Pre call;
-      let data = snapshot buf (count * dt.Datatype.size) in
+      let data = Access.raw_read_bytes buf ~bytes:(count * dt.Datatype.size) in
       let m = Comm.deposit ctx.comm ~src:ctx.rank ~dst ~tag ~data in
       Sched.Scheduler.wait_until
         ~reason:(Fmt.str "MPI_Ssend(dst=%d, tag=%d)" dst tag)
@@ -191,7 +187,7 @@ let isend ctx ~buf ~count ~dt ~dst ~tag =
       H.fire ~rank:ctx.rank H.Pre (H.Isend { req });
       (* Eager protocol: the payload leaves the buffer at the send call;
          the request completes at MPI_Wait. *)
-      let data = snapshot buf (count * dt.Datatype.size) in
+      let data = Access.raw_read_bytes buf ~bytes:(count * dt.Datatype.size) in
       ignore (Comm.deposit ctx.comm ~src:ctx.rank ~dst ~tag ~data);
       H.fire ~rank:ctx.rank H.Post (H.Isend { req });
       req)

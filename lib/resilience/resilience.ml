@@ -196,11 +196,7 @@ module Checkpoint = struct
   let create () : t = Hashtbl.create 4
 
   let save (t : t) key ptr ~bytes =
-    Memsim.Ptr.check ptr bytes;
-    let snap =
-      Bytes.sub ptr.Memsim.Ptr.alloc.Memsim.Alloc.data ptr.Memsim.Ptr.off bytes
-    in
-    Hashtbl.replace t key snap;
+    Hashtbl.replace t key (Memsim.Access.raw_read_bytes ptr ~bytes);
     if Trace.Recorder.on () then
       Trace.Recorder.instant ~cat:"resilience"
         ~args:[ ("key", key); ("bytes", string_of_int bytes) ]
@@ -214,9 +210,7 @@ module Checkpoint = struct
     | None -> invalid_arg (Printf.sprintf "Checkpoint.restore: no snapshot %S" key)
     | Some snap ->
         let bytes = Bytes.length snap in
-        Memsim.Ptr.check ptr bytes;
-        Bytes.blit snap 0 ptr.Memsim.Ptr.alloc.Memsim.Alloc.data
-          ptr.Memsim.Ptr.off bytes;
+        Memsim.Access.raw_write_bytes ptr snap;
         if Trace.Recorder.on () then
           Trace.Recorder.instant ~cat:"resilience"
             ~args:[ ("key", key); ("bytes", string_of_int bytes) ]

@@ -260,6 +260,13 @@ let apps_modules_validate () =
   Validate.check_module Apps.Jacobi.device_module;
   Validate.check_module Apps.Tealeaf.device_module
 
+let launch_args bufs scalars =
+  Array.of_list (List.map (fun p -> Interp.VPtr p) bufs @ scalars)
+
+(* Every byte of the allocation behind [p]. *)
+let contents (p : Memsim.Ptr.t) =
+  Memsim.Access.raw_read_bytes (Memsim.Ptr.make p.alloc) ~bytes:p.alloc.size
+
 (* Native implementations agree with the interpreted IR bit for bit,
    and check exactly the extents their loops touch. Each run gets fresh
    buffers (the pointer arguments, followed by [scalars]) with the same
@@ -281,9 +288,7 @@ let native_matches m name native ~sizes ~scalars ~grid =
         p)
       sizes
   in
-  let args bufs =
-    Array.of_list (List.map (fun p -> Interp.VPtr p) bufs @ scalars)
-  in
+  let args bufs = launch_args bufs scalars in
   let ir = mk sizes in
   let last = Array.make (List.length sizes) (-1) in
   let touch (p : Memsim.Ptr.t) ~bytes:_ =
@@ -311,19 +316,17 @@ let native_matches m name native ~sizes ~scalars ~grid =
       if hi >= 0 then begin
         native ~grid (args (mk (resized k (hi + 1))));
         let bufs = mk (resized k hi) in
-        let before =
-          List.map (fun (p : Memsim.Ptr.t) -> Bytes.copy p.alloc.data) bufs
-        in
+        let before = List.map contents bufs in
         (match native ~grid (args bufs) with
         | () ->
             Alcotest.failf "%s: buffer %d one element short accepted" name k
         | exception Memsim.Ptr.Out_of_bounds _ -> ());
         List.iter2
-          (fun (p : Memsim.Ptr.t) b ->
+          (fun p b ->
             Alcotest.(check bool)
               (Printf.sprintf "%s: overrun of buffer %d wrote nothing" name k)
               true
-              (Bytes.equal p.alloc.data b))
+              (Bytes.equal (contents p) b))
           bufs before
       end)
     last
@@ -367,21 +370,90 @@ let pingpong_native_matches_ir () =
   native_matches Apps.Pingpong.fill_src "fill" Apps.Pingpong.native_fill
     ~sizes:[ 32 ] ~scalars:[ VInt 28 ] ~grid:32
 
-(* Boxing cannot creep back into the hot kernel: one 64 × 64 sweep
-   (3844 interior cells) allocates a handful of words, not one boxed
-   float per load. *)
-let native_jacobi_allocation_free () =
-  with_heap @@ fun () ->
-  let n = 64 in
-  let args =
-    [| Interp.VPtr (dev_alloc (n * n)); VPtr (dev_alloc (n * n)); VInt n; VInt n |]
+(* All eleven native kernels, with arguments for an [nx] × [rows] grid:
+   the element count of each pointer argument, then the scalars, then
+   the launch grid. *)
+let native_kernels ~nx ~rows =
+  let open Apps in
+  let cells = nx * rows in
+  let k ?(grid = cells) name native sizes (scalars : Interp.value list) =
+    (name, native, sizes, scalars, grid)
   in
-  let before = Gc.minor_words () in
-  Apps.Jacobi.native_jacobi ~grid:(n * n) args;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.0f minor words < 1000" words)
-    true (words < 1000.)
+  let two = [ cells; cells ] in
+  let stencil = [ Interp.VInt nx; VInt rows; VFlt 0.1 ] in
+  [
+    k "jacobi" Jacobi.native_jacobi two [ VInt nx; VInt rows ];
+    k "init" Jacobi.native_init two [ VInt nx; VInt rows; VInt 1 ];
+    k "norm" Jacobi.native_norm [ 1; cells; cells ] [ VInt (cells - (2 * nx)) ];
+    k "tl_init" Tealeaf.native_init [ cells ] [ VInt nx; VInt rows; VInt 0 ];
+    k "tl_copy" Tealeaf.native_copy two [ VInt cells ];
+    k "tl_matvec" Tealeaf.native_matvec two stencil;
+    k "tl_cg_init" Tealeaf.native_cg_init (two @ two) stencil;
+    k ~grid:1 "tl_dot" Tealeaf.native_dot [ 1; cells; cells ] [ VInt cells ];
+    k "tl_axpy" Tealeaf.native_axpy two [ VFlt 0.37; VInt cells ];
+    k "tl_beta" Tealeaf.native_beta two [ VFlt (-1.25); VInt cells ];
+    k "fill" Pingpong.native_fill [ cells ] [ VInt cells ];
+  ]
+
+(* Boxing and copying cannot creep back into the kernels: one launch on
+   a 64 × 64 grid allocates a handful of words, not one boxed float per
+   load. The count is every word allocated (minor + major - promoted):
+   a copy of an extent into a fresh 4096-element array goes straight to
+   the major heap, which [Gc.minor_words] alone would not see. *)
+let native_kernels_allocation_free () =
+  with_heap @@ fun () ->
+  List.iter
+    (fun (name, native, sizes, scalars, grid) ->
+      let args = launch_args (List.map dev_alloc sizes) scalars in
+      let minor0, promoted0, major0 = Gc.counters () in
+      native ~grid args;
+      let minor1, promoted1, major1 = Gc.counters () in
+      let words =
+        minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words < 1000" name words)
+        true (words < 1000.))
+    (native_kernels ~nx:64 ~rows:64)
+
+(* An f64 extent over a pointer that is not 8-aligned is a diagnosed
+   error (cudaErrorMisalignedAddress on a GPU) raised before the kernel
+   writes anything: each buffer in turn gets one spare element and is
+   passed 4 bytes in, and no byte of any allocation may change. *)
+let native_misaligned_extent_raises () =
+  with_heap @@ fun () ->
+  List.iter
+    (fun (name, native, sizes, scalars, grid) ->
+      List.iteri
+        (fun k _ ->
+          let bufs =
+            List.mapi
+              (fun j n ->
+                let p = dev_alloc (if j = k then n + 1 else n) in
+                for i = 0 to n - 1 do
+                  Memsim.Access.raw_set_f64 p i (float (i + j))
+                done;
+                if j = k then Memsim.Ptr.add_bytes p 4 else p)
+              sizes
+          in
+          let before = List.map contents bufs in
+          (match native ~grid (launch_args bufs scalars) with
+          | () -> Alcotest.failf "%s: misaligned buffer %d accepted" name k
+          | exception Memsim.Access.Misaligned_address msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %S names the offset" name msg)
+                true
+                (String.ends_with ~suffix:"+4" msg));
+          List.iter2
+            (fun p b ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: misaligned buffer %d wrote nothing" name
+                   k)
+                true
+                (Bytes.equal (contents p) b))
+            bufs before)
+        sizes)
+    (native_kernels ~nx:8 ~rows:6)
 
 let tests =
   [
@@ -421,8 +493,10 @@ let tests =
     Alcotest.test_case "jacobi native = IR" `Quick native_matches_ir;
     Alcotest.test_case "tealeaf native = IR" `Quick tealeaf_native_matches_ir;
     Alcotest.test_case "pingpong native = IR" `Quick pingpong_native_matches_ir;
-    Alcotest.test_case "native jacobi allocation-free" `Quick
-      native_jacobi_allocation_free;
+    Alcotest.test_case "native kernels allocation-free" `Quick
+      native_kernels_allocation_free;
+    Alcotest.test_case "native kernels: misaligned extent raises" `Quick
+      native_misaligned_extent_raises;
   ]
 
 let () = Alcotest.run "kir" [ ("kir", tests) ]

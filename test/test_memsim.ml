@@ -188,17 +188,17 @@ let ptr_arith () =
   Alcotest.(check int) "remaining" 40 (Ptr.remaining q);
   Alcotest.(check bool) "equal" true (Ptr.equal q (Ptr.add_bytes p 24))
 
-(* Checked extents: one check covers [0, count), the returned offset is
-   element 0 of the (possibly offset) pointer, and liveness is part of
-   the check. *)
+(* Checked extents: one check covers [0, count), the returned word index
+   is element 0 of the (possibly offset) pointer, and liveness is part
+   of the check. *)
 let extent_exact () =
   with_clean @@ fun () ->
   let p = Heap.alloc Space.Device 64 in
   Access.raw_set_f64 p 7 2.5;
-  let b, o = Access.f64_extent p ~count:8 in
-  Alcotest.(check int) "offset of element 0" 0 o;
-  Alcotest.(check (float 0.)) "element 7 through the bytes" 2.5
-    (Int64.float_of_bits (Bytes.get_int64_le b (o + (7 * 8))))
+  let w, o = Access.f64_extent p ~count:8 in
+  Alcotest.(check int) "word of element 0" 0 o;
+  Alcotest.(check (float 0.)) "element 7 through the words" 2.5
+    (Float.Array.get w (o + 7))
 
 let extent_one_past () =
   with_clean @@ fun () ->
@@ -214,10 +214,10 @@ let extent_offset_base () =
   with_clean @@ fun () ->
   let p = Heap.alloc Space.Device 64 in
   Access.raw_set_f64 p 3 9.0;
-  let b, o = Access.f64_extent (Ptr.add p ~elt:8 3) ~count:5 in
-  Alcotest.(check int) "base shifted by 3 elements" 24 o;
+  let w, o = Access.f64_extent (Ptr.add p ~elt:8 3) ~count:5 in
+  Alcotest.(check int) "base shifted by 3 elements" 3 o;
   Alcotest.(check (float 0.)) "element 0 aliases p[3]" 9.0
-    (Int64.float_of_bits (Bytes.get_int64_le b o))
+    (Float.Array.get w o)
 
 let extent_use_after_free () =
   with_clean @@ fun () ->
@@ -257,6 +257,225 @@ let prop_disjoint_addrs =
       Heap.reset ();
       ok)
 
+(* --- the word store against the byte store it replaced ------------- *)
+
+(* Reference model: the byte-backed store the word store replaced. An
+   allocation is [size] bytes read and written with the stdlib's
+   little-endian [Bytes] primitives, and [Bytes.blit] is a memmove. *)
+module Byte_store = struct
+  let get_f64 b o = Int64.float_of_bits (Bytes.get_int64_le b o)
+  let set_f64 b o v = Bytes.set_int64_le b o (Int64.bits_of_float v)
+  let get_i32 b o = Int32.to_int (Bytes.get_int32_le b o)
+  let set_i32 b o v = Bytes.set_int32_le b o (Int32.of_int v)
+  let get_f32 b o = Int32.float_of_bits (Bytes.get_int32_le b o)
+  let set_f32 b o v = Bytes.set_int32_le b o (Int32.bits_of_float v)
+
+  let fill b o ~bytes ~byte =
+    Bytes.fill b o bytes (Char.chr (byte land 0xff))
+end
+
+(* One step of a trace. Allocation indices, offsets and lengths are raw
+   draws, reduced against the allocation sizes when the step runs so
+   that every step is in bounds; a fixed-width access to an allocation
+   too small for it is skipped. *)
+type op =
+  | Set_f64 of int * int * int64 (* allocation, byte offset, bits *)
+  | Get_f64 of int * int
+  | Set_i32 of int * int * int
+  | Get_i32 of int * int
+  | Set_f32 of int * int * int32 (* allocation, byte offset, f32 bits *)
+  | Get_f32 of int * int
+  | Blit of int * int * int * int * int (* src, src off, dst, dst off, len *)
+  | Fill of int * int * int * int (* allocation, offset, length, byte *)
+  | Read of int * int * int (* allocation, offset, length *)
+  | Write of int * int * string (* allocation, offset, data *)
+
+let pp_op = function
+  | Set_f64 (a, o, b) -> Printf.sprintf "set_f64 #%d+%d 0x%016Lx" a o b
+  | Get_f64 (a, o) -> Printf.sprintf "get_f64 #%d+%d" a o
+  | Set_i32 (a, o, v) -> Printf.sprintf "set_i32 #%d+%d %d" a o v
+  | Get_i32 (a, o) -> Printf.sprintf "get_i32 #%d+%d" a o
+  | Set_f32 (a, o, b) -> Printf.sprintf "set_f32 #%d+%d 0x%08lx" a o b
+  | Get_f32 (a, o) -> Printf.sprintf "get_f32 #%d+%d" a o
+  | Blit (a, s, b, d, n) ->
+      Printf.sprintf "blit #%d+%d -> #%d+%d %dB" a s b d n
+  | Fill (a, o, n, c) -> Printf.sprintf "fill #%d+%d %dB 0x%02x" a o n c
+  | Read (a, o, n) -> Printf.sprintf "read #%d+%d %dB" a o n
+  | Write (a, o, d) -> Printf.sprintf "write #%d+%d %S" a o d
+
+let gen_trace =
+  let open QCheck.Gen in
+  let alloc = int_bound 3 and off = int_bound 47 and len = int_bound 47 in
+  let f64_bits =
+    frequency
+      [
+        (3, ui64);
+        ( 2,
+          oneofl
+            [
+              0x7FF0_0000_0000_0001L (* signalling NaN *);
+              0xFFF0_0000_0000_0001L;
+              0x7FF4_0000_0000_0000L;
+              0x7FF8_0000_0000_0000L (* quiet NaN *);
+              Int64.min_int (* -0. *);
+              -1L;
+            ] );
+      ]
+  in
+  let f32_bits =
+    frequency
+      [ (3, ui32); (1, oneofl [ 0x7F80_0001l; 0x7FC0_0000l; Int32.min_int ]) ]
+  in
+  let blit a s b d n = Blit (a, s, b, d, n) in
+  let op =
+    frequency
+      [
+        (3, map3 (fun a o b -> Set_f64 (a, o, b)) alloc off f64_bits);
+        (1, map2 (fun a o -> Get_f64 (a, o)) alloc off);
+        (2, map3 (fun a o v -> Set_i32 (a, o, v)) alloc off int);
+        (1, map2 (fun a o -> Get_i32 (a, o)) alloc off);
+        (1, map3 (fun a o b -> Set_f32 (a, o, b)) alloc off f32_bits);
+        (1, map2 (fun a o -> Get_f32 (a, o)) alloc off);
+        (* within one allocation, overlapping in either direction *)
+        (3, (fun a s d n -> blit a s a d n) <$> alloc <*> off <*> off <*> len);
+        (1, blit <$> alloc <*> off <*> alloc <*> off <*> len);
+        ( 3,
+          (fun a o n c -> Fill (a, o, n, c))
+          <$> alloc <*> off <*> len <*> int_bound 255 );
+        (1, map3 (fun a o n -> Read (a, o, n)) alloc off len);
+        ( 1,
+          map3
+            (fun a o d -> Write (a, o, d))
+            alloc off
+            (string_size (int_bound 24)) );
+      ]
+  in
+  pair
+    (list_size (1 -- 3) (frequency [ (1, return 0); (4, int_bound 40) ]))
+    (list_size (0 -- 30) op)
+
+(* Run a trace against both stores, comparing every read as it happens
+   and every byte of every allocation at the end. *)
+let run_trace (sizes, ops) =
+  Heap.reset ();
+  let sizes = Array.of_list sizes in
+  let ptrs = Array.map (Heap.alloc Space.Device) sizes in
+  let model = Array.map (fun n -> Bytes.make n '\000') sizes in
+  let nallocs = Array.length sizes in
+  let ptr a o = Ptr.add_bytes ptrs.(a) o in
+  let size a = sizes.(a mod nallocs) in
+  (* The allocation [a] names, and an offset from [o] at which [len]
+     bytes fit. *)
+  let place a o len =
+    let room = size a - len in
+    if room < 0 then None else Some (a mod nallocs, o mod (room + 1))
+  in
+  (* A length from [n] that fits both allocations [a] and [b]. *)
+  let fit n a b = n mod (min (size a) (size b) + 1) in
+  let same_float x y =
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  in
+  let step = function
+    | Set_f64 (a, o, b) -> (
+        match place a o 8 with
+        | None -> true
+        | Some (a, o) ->
+            let v = Int64.float_of_bits b in
+            Access.raw_set_f64 (ptr a o) 0 v;
+            Byte_store.set_f64 model.(a) o v;
+            true)
+    | Get_f64 (a, o) -> (
+        match place a o 8 with
+        | None -> true
+        | Some (a, o) ->
+            same_float
+              (Access.raw_get_f64 (ptr a o) 0)
+              (Byte_store.get_f64 model.(a) o))
+    | Set_i32 (a, o, v) -> (
+        match place a o 4 with
+        | None -> true
+        | Some (a, o) ->
+            Access.raw_set_i32 (ptr a o) 0 v;
+            Byte_store.set_i32 model.(a) o v;
+            true)
+    | Get_i32 (a, o) -> (
+        match place a o 4 with
+        | None -> true
+        | Some (a, o) ->
+            Access.raw_get_i32 (ptr a o) 0 = Byte_store.get_i32 model.(a) o)
+    | Set_f32 (a, o, b) -> (
+        match place a o 4 with
+        | None -> true
+        | Some (a, o) ->
+            let v = Int32.float_of_bits b in
+            Access.raw_set_f32 (ptr a o) 0 v;
+            Byte_store.set_f32 model.(a) o v;
+            true)
+    | Get_f32 (a, o) -> (
+        match place a o 4 with
+        | None -> true
+        | Some (a, o) ->
+            same_float
+              (Access.raw_get_f32 (ptr a o) 0)
+              (Byte_store.get_f32 model.(a) o))
+    | Blit (a, s, b, d, n) -> (
+        let n = fit n a b in
+        match (place a s n, place b d n) with
+        | Some (a, s), Some (b, d) ->
+            Access.raw_blit ~src:(ptr a s) ~dst:(ptr b d) ~bytes:n;
+            Bytes.blit model.(a) s model.(b) d n;
+            true
+        | _ -> true)
+    | Fill (a, o, n, c) -> (
+        let n = fit n a a in
+        match place a o n with
+        | None -> true
+        | Some (a, o) ->
+            Access.raw_fill (ptr a o) ~bytes:n ~byte:c;
+            Byte_store.fill model.(a) o ~bytes:n ~byte:c;
+            true)
+    | Read (a, o, n) -> (
+        let n = fit n a a in
+        match place a o n with
+        | None -> true
+        | Some (a, o) ->
+            Bytes.equal
+              (Access.raw_read_bytes (ptr a o) ~bytes:n)
+              (Bytes.sub model.(a) o n))
+    | Write (a, o, data) -> (
+        let n = min (String.length data) (size a) in
+        match place a o n with
+        | None -> true
+        | Some (a, o) ->
+            let data = String.sub data 0 n in
+            Access.raw_write_bytes (ptr a o) (Bytes.of_string data);
+            Bytes.blit_string data 0 model.(a) o n;
+            true)
+  in
+  let ok =
+    List.for_all step ops
+    && Array.for_all2
+         (fun p m ->
+           Bytes.equal (Access.raw_read_bytes p ~bytes:(Bytes.length m)) m)
+         ptrs model
+  in
+  Heap.reset ();
+  ok
+
+(* Property: the word store behaves exactly like the byte store on any
+   trace of raw accesses, bulk moves and snapshots, bit for bit —
+   including misaligned accesses, overlapping blits in both directions,
+   and signalling NaNs. *)
+let prop_word_store_matches_bytes =
+  let print (sizes, ops) =
+    Printf.sprintf "sizes [%s]\n%s"
+      (String.concat "; " (List.map string_of_int sizes))
+      (String.concat "\n" (List.map pp_op ops))
+  in
+  QCheck.Test.make ~name:"word store = byte store" ~count:500
+    (QCheck.make ~print ~shrink:QCheck.Shrink.(pair nil list) gen_trace)
+    run_trace
+
 let tests =
   [
     Alcotest.test_case "alloc roundtrip f64" `Quick alloc_roundtrip;
@@ -286,6 +505,7 @@ let tests =
     Alcotest.test_case "extent: use after free" `Quick extent_use_after_free;
     QCheck_alcotest.to_alcotest prop_f64_roundtrip;
     QCheck_alcotest.to_alcotest prop_disjoint_addrs;
+    QCheck_alcotest.to_alcotest prop_word_store_matches_bytes;
   ]
 
 let () = Alcotest.run "memsim" [ ("memsim", tests) ]

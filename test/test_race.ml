@@ -298,7 +298,9 @@ let observe run =
   let record w p ~bytes = events := (w, Memsim.Ptr.addr p, bytes) :: !events in
   let tracer = { Kir.Interp.on_read = record false; on_write = record true } in
   run ~tracer (Array.of_list (List.map (fun p -> Kir.Interp.VPtr p) bufs));
-  ( List.map (fun (p : Memsim.Ptr.t) -> Bytes.to_string p.alloc.data) bufs,
+  ( List.map
+      (fun p -> Bytes.to_string (Memsim.Access.raw_read_bytes p ~bytes:(nelts * 8)))
+      bufs,
     List.rev !events )
 
 let prop_launch_loop_matches_threads =
