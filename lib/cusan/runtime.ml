@@ -242,10 +242,11 @@ let sync_all_streams t =
   |> List.iter (fun sid -> T.happens_after t.tsan (stream_key sid))
 
 (* Trace a sync-matrix decision: this call was modelled as host
-   synchronization against [what] (paper, Table I). *)
+   synchronization against [what ()] (paper, Table I). The label is a
+   thunk so untraced runs never format it. *)
 let sync_probe call what =
   if Trace.Recorder.on () then
-    Trace.Recorder.instant ~cat:"cusan.sync" ~args:[ ("syncs", what) ] call
+    Trace.Recorder.instant ~cat:"cusan.sync" ~args:[ ("syncs", what ()) ] call
 
 let on_event t phase (ev : D.api_event) =
   match (phase, ev) with
@@ -256,7 +257,7 @@ let on_event t phase (ev : D.api_event) =
         t.counters.Counters.unanalyzed_kernels <-
           t.counters.Counters.unanalyzed_kernels + 1;
       device_op t stream
-        ~label:(Fmt.str "kernel:%s" kernel.K.kname)
+        ~label:("kernel:" ^ kernel.K.kname)
         ~ranges:(kernel_ranges t kernel args ~grid)
         ~host_syncs:false
   | D.Pre, D.Memcpy { dst; src; bytes; async; stream; modeled_sync; _ } ->
@@ -277,15 +278,16 @@ let on_event t phase (ev : D.api_event) =
         ~host_syncs:modeled_sync
   | D.Post, D.Stream_sync s ->
       t.counters.Counters.syncs <- t.counters.Counters.syncs + 1;
-      sync_probe "cudaStreamSynchronize" (Fmt.str "stream#%d" s.D.sid);
+      sync_probe "cudaStreamSynchronize" (fun () ->
+          Fmt.str "stream#%d" s.D.sid);
       T.happens_after t.tsan (stream_key s.D.sid)
   | D.Post, D.Device_sync ->
       t.counters.Counters.syncs <- t.counters.Counters.syncs + 1;
-      sync_probe "cudaDeviceSynchronize" "all-streams";
+      sync_probe "cudaDeviceSynchronize" (fun () -> "all-streams");
       sync_all_streams t
   | D.Post, D.Event_sync e ->
       t.counters.Counters.syncs <- t.counters.Counters.syncs + 1;
-      sync_probe "cudaEventSynchronize" (Fmt.str "event#%d" e.D.eid);
+      sync_probe "cudaEventSynchronize" (fun () -> Fmt.str "event#%d" e.D.eid);
       T.happens_after t.tsan (event_key e.D.eid)
   | D.Pre, D.Event_record { event; stream } ->
       let caller = T.current_fiber t.tsan in
@@ -305,15 +307,16 @@ let on_event t phase (ev : D.api_event) =
       T.switch_to_fiber t.tsan caller
   | D.Post, D.Stream_query (s, true) ->
       t.counters.Counters.syncs <- t.counters.Counters.syncs + 1;
-      sync_probe "cudaStreamQuery=ready" (Fmt.str "stream#%d" s.D.sid);
+      sync_probe "cudaStreamQuery=ready" (fun () ->
+          Fmt.str "stream#%d" s.D.sid);
       T.happens_after t.tsan (stream_key s.D.sid)
   | D.Post, D.Event_query (e, true) ->
       t.counters.Counters.syncs <- t.counters.Counters.syncs + 1;
-      sync_probe "cudaEventQuery=ready" (Fmt.str "event#%d" e.D.eid);
+      sync_probe "cudaEventQuery=ready" (fun () -> Fmt.str "event#%d" e.D.eid);
       T.happens_after t.tsan (event_key e.D.eid)
   | D.Post, D.Stream_destroy s ->
       (* Destroy completes outstanding work: host-synchronizing. *)
-      sync_probe "cudaStreamDestroy" (Fmt.str "stream#%d" s.D.sid);
+      sync_probe "cudaStreamDestroy" (fun () -> Fmt.str "stream#%d" s.D.sid);
       T.happens_after t.tsan (stream_key s.D.sid)
   | D.Pre, D.Host_func { stream; label } ->
       (* An ordering point on the stream: the callback runs after all

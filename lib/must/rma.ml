@@ -86,12 +86,13 @@ let on_fence_leave t tsan ~wid =
   Hashtbl.remove t.acc_fibers (wid, m - 1)
 
 (* An origin-side buffer access: concurrent with the origin host until
-   its next fence (the buffer must not be reused before then). *)
+   its next fence (the buffer must not be reused before then). The
+   fiber ends with its completion release and is retired, so its clock
+   slot is reused once the closing fence has acquired that key. *)
 let origin_access t tsan ~wid ~call ~buf ~bytes ~kind =
   let epoch = fences_entered t ~wid in
   let caller = T.current_fiber tsan in
-  let f = T.fiber_create tsan (Fmt.str "rma:origin:%s" call) in
-  T.switch_to_fiber_sync tsan f;
+  let f = T.fiber_spawn tsan ("rma:origin:" ^ call) in
   T.with_context tsan call (fun () ->
       let addr = Memsim.Ptr.addr buf in
       match kind with
@@ -100,12 +101,16 @@ let origin_access t tsan ~wid ~call ~buf ~bytes ~kind =
   let k = fresh_key () in
   T.happens_before tsan k;
   T.switch_to_fiber tsan caller;
+  T.fiber_retire tsan f;
   add_pending t ~wid ~epoch k
 
 (* A window access landing at the target rank, annotated in the target's
    detector: ordered after the target's state at the start of the
    origin's current epoch, completed by the target's closing fence of
-   that epoch. *)
+   that epoch. Target fibers always take a fresh slot: they do not
+   inherit the target host's clock, so a recycled slot would order them
+   after its previous owner and could hide a race between two RMA
+   accesses. *)
 let target_access t tsan ~wid ~epoch ~origin_rank ~call ~ptr ~bytes ~kind =
   let saved = T.current_fiber tsan in
   let f = T.fiber_create tsan (Fmt.str "rma:%s@rank%d" call origin_rank) in

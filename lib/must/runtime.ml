@@ -96,13 +96,15 @@ let host_access t ~call ~(buf : Memsim.Ptr.t) ~bytes ~kind =
 
 (* Model a non-blocking operation's concurrent region with a fresh
    fiber. The calling fiber is saved and restored so the interception
-   works from any host thread (MPI_THREAD_MULTIPLE-style usage). *)
+   works from any host thread (MPI_THREAD_MULTIPLE-style usage). The
+   fiber's last action is the release of its request key, so retiring
+   it lets a later request reuse its clock slot once the completion
+   call has acquired that key. *)
 let fiber_access t ~call ~(req : Mpisim.Request.t) ~kind =
   let caller = T.current_fiber t.tsan in
   let f =
-    T.fiber_create t.tsan (Fmt.str "mpi:req%d" req.Mpisim.Request.rid)
+    T.fiber_spawn t.tsan ("mpi:req" ^ string_of_int req.Mpisim.Request.rid)
   in
-  T.switch_to_fiber_sync t.tsan f;
   (if Trace.Recorder.on () then
      Trace.Recorder.instant ~cat:"must"
        ~args:
@@ -119,7 +121,8 @@ let fiber_access t ~call ~(req : Mpisim.Request.t) ~kind =
       | `Read -> T.read_range t.tsan ~addr ~len
       | `Write -> T.write_range t.tsan ~addr ~len);
   T.happens_before t.tsan (req_key req.Mpisim.Request.rid);
-  T.switch_to_fiber t.tsan caller
+  T.switch_to_fiber t.tsan caller;
+  T.fiber_retire t.tsan f
 
 let complete t (req : Mpisim.Request.t) =
   T.happens_after t.tsan (req_key req.Mpisim.Request.rid)

@@ -17,13 +17,26 @@
    fiber_create_inherit, switch_to_fiber_sync) increments the fiber's
    clock component and refreshes its epoch, so an unchanged epoch
    proves the fiber has published nothing since it last owned the
-   page. *)
+   page.
+
+   Vector-clock slots are recycled, as real TSan reuses the slots of
+   finished threads: fiber_retire frees the slot of a fiber whose last
+   action was a release, and fiber_spawn hands it to a new fiber once
+   the spawning fiber has acquired that final release. The new owner
+   starts its component one above the last clock the old owner
+   published, so clocks stay as wide as the number of fibers that are
+   live or unsynchronized, not the number ever created. *)
 
 type fiber = {
   tid : int;
   name : string;
   vc : Vclock.t;
+  start : int; (* own component at creation: 1, or p + 1 on a reused slot *)
   mutable epoch : int; (* cached Epoch.pack tid vc.(tid) *)
+  mutable published : int;
+      (* own clock published by the last release; -1 before the first
+         release and after any access that followed it *)
+  mutable retired : bool;
   mutable ctx : string list; (* innermost-first context ("stack") *)
   mutable origin_id : int; (* interned id of the top context; -1 = stale *)
   mutable cache_region : Shadow.region option; (* last-hit region *)
@@ -32,7 +45,10 @@ type fiber = {
 
 type t = {
   mutable fibers : fiber list; (* reverse creation order *)
+  main : fiber;
   mutable cur : fiber;
+  mutable free_slots : (int * int) list;
+      (* retired (tid, last published clock), ascending tid *)
   sync : (int, Vclock.t) Hashtbl.t;
   shadow : Shadow.t;
   counters : Counters.t;
@@ -54,17 +70,18 @@ type t = {
 
 let refresh_epoch f = f.epoch <- Epoch.pack ~tid:f.tid ~clock:(Vclock.get f.vc f.tid)
 
-let make_fiber t name =
-  let tid = t.next_tid in
-  t.next_tid <- t.next_tid + 1;
+let new_fiber ~tid ~start name =
   let vc = Vclock.create () in
-  Vclock.set vc tid 1;
+  Vclock.set vc tid start;
   let f =
     {
       tid;
       name;
       vc;
+      start;
       epoch = 0;
+      published = -1;
+      retired = false;
       ctx = [];
       origin_id = -1;
       cache_region = None;
@@ -72,32 +89,34 @@ let make_fiber t name =
     }
   in
   refresh_epoch f;
+  f
+
+let add_fiber t ~tid ~start name =
+  let f = new_fiber ~tid ~start name in
   t.fibers <- f :: t.fibers;
   f
 
 let create ?(granule = 8) ?(report_limit = 64) ?(suppressions = []) () =
-  let t =
-    {
-      fibers = [];
-      cur = Obj.magic 0 (* replaced below *);
-      sync = Hashtbl.create 64;
-      shadow = Shadow.create ~granule ();
-      counters = Counters.create ();
-      suppressions = Suppress.of_list suppressions;
-      reports = [];
-      races_total = 0;
-      seen = Hashtbl.create 16;
-      origins = Hashtbl.create 64;
-      origin_names = Array.make 16 "?";
-      n_origins = 0;
-      report_limit;
-      next_tid = 0;
-      observer = None;
-    }
-  in
-  let main = make_fiber t "main" in
-  t.cur <- main;
-  t
+  let main = new_fiber ~tid:0 ~start:1 "main" in
+  {
+    fibers = [ main ];
+    main;
+    cur = main;
+    free_slots = [];
+    sync = Hashtbl.create 64;
+    shadow = Shadow.create ~granule ();
+    counters = Counters.create ();
+    suppressions = Suppress.of_list suppressions;
+    reports = [];
+    races_total = 0;
+    seen = Hashtbl.create 16;
+    origins = Hashtbl.create 64;
+    origin_names = Array.make 16 "?";
+    n_origins = 0;
+    report_limit;
+    next_tid = 1;
+    observer = None;
+  }
 
 (* --- origins -------------------------------------------------------- *)
 
@@ -136,19 +155,29 @@ let origin_id t =
 
 (* --- fibers ---------------------------------------------------------- *)
 
-let main_fiber t =
-  match List.rev t.fibers with f :: _ -> f | [] -> assert false
+let main_fiber t = t.main
 
-let fiber_create t name = make_fiber t name
+(* The release half of every synchronization: the fiber's clock has just
+   been published (into a sync clock or another fiber), so advance its
+   own component — later accesses are not covered by what was
+   published — and remember the published value for slot recycling. *)
+let release f =
+  f.published <- Vclock.get f.vc f.tid;
+  Vclock.incr f.vc f.tid;
+  refresh_epoch f
+
+let fiber_create t name =
+  let tid = t.next_tid in
+  t.next_tid <- tid + 1;
+  add_fiber t ~tid ~start:1 name
 
 (* Create a fiber that starts ordered after everything the current fiber
    did so far — the semantics of thread creation (pthread_create
    synchronizes parent and child). *)
 let fiber_create_inherit t name =
-  let f = make_fiber t name in
+  let f = fiber_create t name in
   Vclock.join f.vc t.cur.vc;
-  Vclock.incr t.cur.vc t.cur.tid;
-  refresh_epoch t.cur;
+  release t.cur;
   f
 
 let current_fiber t = t.cur
@@ -176,9 +205,43 @@ let switch_to_fiber_sync t f =
   if Trace.Recorder.on () then Trace.Recorder.set_track f.name;
   let src = t.cur in
   Vclock.join f.vc src.vc;
-  Vclock.incr src.vc src.tid;
-  refresh_epoch src;
+  release src;
   t.cur <- f
+
+(* Take the lowest retired slot whose final release [vc] has acquired.
+   Only clocks up to the published value p ever left the old owner, so
+   [vc.(tid) >= p] means [vc] knows the old owner's whole history. *)
+let take_slot t vc =
+  match List.find_opt (fun (tid, p) -> Vclock.get vc tid >= p) t.free_slots with
+  | Some ((tid, _) as slot) ->
+      t.free_slots <- List.filter (fun (tid', _) -> tid' <> tid) t.free_slots;
+      Some slot
+  | None -> None
+
+(* fiber_create followed by switch_to_fiber_sync, on a recycled slot when
+   one is eligible. The new owner's component starts at p + 1, above
+   every clock the previous owner used or published, so the two never
+   share an epoch; everything else it knows comes from the spawner,
+   which is ordered after the previous owner's final release. *)
+let fiber_spawn t name =
+  let f =
+    match take_slot t t.cur.vc with
+    | Some (tid, p) -> add_fiber t ~tid ~start:(p + 1) name
+    | None -> fiber_create t name
+  in
+  switch_to_fiber_sync t f;
+  f
+
+(* Free [f]'s slot for fiber_spawn. A fiber whose last action was an
+   access keeps its slot forever: that access's epoch was never
+   published, so no later owner could be ordered after it. *)
+let fiber_retire t f =
+  if f == t.cur then invalid_arg "Tsan.Detector.fiber_retire: current fiber";
+  if f == t.main then invalid_arg "Tsan.Detector.fiber_retire: main fiber";
+  if f.retired then invalid_arg "Tsan.Detector.fiber_retire: already retired";
+  f.retired <- true;
+  if f.published >= 0 then
+    t.free_slots <- List.merge compare [ (f.tid, f.published) ] t.free_slots
 
 let fiber_name f = f.name
 
@@ -214,8 +277,7 @@ let happens_before t key =
         vc
   in
   Vclock.join vc t.cur.vc;
-  Vclock.incr t.cur.vc t.cur.tid;
-  refresh_epoch t.cur
+  release t.cur
 
 (* Acquire: the current fiber learns everything published under [key]. *)
 let happens_after t key =
@@ -254,9 +316,14 @@ let report t ~count ~addr ~granule ~(cur_kind : [ `Read | `Write ]) ~prev_epoch
     ~prev_origin ~(prev_kind : [ `Read | `Write ]) =
   t.races_total <- t.races_total + count;
   let prev_fiber =
-    match List.find_opt (fun f -> f.tid = Epoch.tid prev_epoch) t.fibers with
+    (* A recycled slot has had several owners: the epoch belongs to the
+       latest one that started at or before its clock. *)
+    let tid = Epoch.tid prev_epoch and clock = Epoch.clock prev_epoch in
+    match
+      List.find_opt (fun f -> f.tid = tid && f.start <= clock) t.fibers
+    with
     | Some f -> f.name
-    | None -> Fmt.str "fiber#%d" (Epoch.tid prev_epoch)
+    | None -> Fmt.str "fiber#%d" tid
   in
   let r =
     {
@@ -564,6 +631,7 @@ let notify t ~kind ~addr ~len =
 let write_range t ~addr ~len =
   if len > 0 then begin
     notify t ~kind:`Write ~addr ~len;
+    t.cur.published <- -1;
     t.counters.Counters.write_ranges <- t.counters.Counters.write_ranges + 1;
     t.counters.Counters.write_bytes <- t.counters.Counters.write_bytes + len;
     let region = region_for t addr in
@@ -576,6 +644,7 @@ let write_range t ~addr ~len =
 let read_range t ~addr ~len =
   if len > 0 then begin
     notify t ~kind:`Read ~addr ~len;
+    t.cur.published <- -1;
     t.counters.Counters.read_ranges <- t.counters.Counters.read_ranges + 1;
     t.counters.Counters.read_bytes <- t.counters.Counters.read_bytes + len;
     let region = region_for t addr in
@@ -593,6 +662,7 @@ let rw_range t ~addr ~len =
   if len > 0 then begin
     notify t ~kind:`Read ~addr ~len;
     notify t ~kind:`Write ~addr ~len;
+    t.cur.published <- -1;
     let c = t.counters in
     c.Counters.read_ranges <- c.Counters.read_ranges + 1;
     c.Counters.read_bytes <- c.Counters.read_bytes + len;

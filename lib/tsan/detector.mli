@@ -33,6 +33,26 @@ val fiber_create_inherit : t -> string -> fiber
     everything the current fiber did so far — thread-creation
     semantics. *)
 
+val fiber_spawn : t -> string -> fiber
+(** [fiber_spawn t name] is {!fiber_create} followed by
+    {!switch_to_fiber_sync}, with the same counters: the new fiber is
+    ordered after the current fiber's past and becomes current. Its slot
+    is the lowest retired one whose final release the current fiber has
+    acquired, if any — the new owner's clock component then starts one
+    above the last value the old owner published — or a fresh one.
+    For short-lived fibers such as MPI requests, paired with
+    {!fiber_retire}. *)
+
+val fiber_retire : t -> fiber -> unit
+(** [fiber_retire t f] declares that [f] will never run again and frees
+    its slot for {!fiber_spawn} — provided [f]'s last action was a
+    release ({!happens_before}, or being the source of
+    {!switch_to_fiber_sync} or {!fiber_create_inherit}). A fiber that
+    accessed memory after its last release keeps its slot forever.
+    Reports keep naming [f] for its own accesses.
+    @raise Invalid_argument for the current fiber, the main fiber, or a
+    fiber retired before. *)
+
 val current_fiber : t -> fiber
 val fiber_name : fiber -> string
 

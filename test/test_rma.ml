@@ -191,6 +191,39 @@ let origin_reuse_after_fence_clean () =
   let res = run app in
   Alcotest.(check int) "reuse after fence" 0 (List.length res.R.races)
 
+let origin_reuse_in_later_epoch_races () =
+  (* The second epoch's origin fiber runs on the clock slot the first
+     epoch's origin fiber retired (the fence acquired its completion);
+     the report still names the origin fiber and its call. The two puts
+     target disjoint window halves, so only the origin buffer races. *)
+  let app (env : R.env) =
+    let ctx = env.R.mpi in
+    let wbuf = alloc env 8 in
+    let win = Mpi.win_create ctx ~buf:wbuf ~bytes:64 in
+    Mpi.win_fence ctx win;
+    let src = alloc ~tag:"src" env 8 in
+    if ctx.Mpi.rank = 0 then
+      Mpi.put ctx win ~buf:src ~count:4 ~dt:Dt.double ~target:1 ~disp:0;
+    Mpi.win_fence ctx win;
+    if ctx.Mpi.rank = 0 then begin
+      Mpi.put ctx win ~buf:src ~count:4 ~dt:Dt.double ~target:1 ~disp:4;
+      A.set_f64 src 1 7.
+    end;
+    Mpi.win_fence ctx win;
+    Mpi.win_free ctx win
+  in
+  let res = run app in
+  Alcotest.(check (list (pair int string)))
+    "reports"
+    [
+      ( 0,
+        "WARNING: data race at 0x3000000008 (8 bytes)\n\
+        \  write of size 8 by fiber 'main' in main\n\
+        \  previous read by fiber 'rma:origin:MPI_Put' in MPI_Put\n\
+        \  location: src+8 (host-pageable, 64 bytes)" );
+    ]
+    (List.map (fun (rank, r) -> (rank, Tsan.Report.to_string r)) res.R.races)
+
 let overlapping_puts_race () =
   let app (env : R.env) =
     let ctx = env.R.mpi in
@@ -356,6 +389,8 @@ let tests =
       origin_reuse_before_fence_races;
     Alcotest.test_case "origin reuse after fence clean" `Quick
       origin_reuse_after_fence_clean;
+    Alcotest.test_case "origin reuse in a later epoch races" `Quick
+      origin_reuse_in_later_epoch_races;
     Alcotest.test_case "overlapping puts race" `Quick overlapping_puts_race;
     Alcotest.test_case "disjoint puts clean" `Quick disjoint_puts_clean;
     Alcotest.test_case "put vs get race" `Quick put_vs_get_race;

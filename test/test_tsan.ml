@@ -971,6 +971,226 @@ let prop_flat_arena_matches_oracle =
       && List.map Report.to_string (Detector.races d)
          = List.map Report.to_string (Oracle.races o))
 
+(* --- fiber lifecycle: recycled clock slots ------------------------------ *)
+
+(* One short-lived fiber the way MUST runs a request: spawned by the
+   current fiber, one access, release of its own key, back to the
+   spawner, retired. [~recycle:false] is the fresh-slot reference: the
+   same fiber from fiber_create + switch_to_fiber_sync, never retired. *)
+let request ?(recycle = true) d ~name ~key ~kind ~addr ~len =
+  let spawner = Detector.current_fiber d in
+  let f =
+    if recycle then Detector.fiber_spawn d name
+    else begin
+      let f = Detector.fiber_create d name in
+      Detector.switch_to_fiber_sync d f;
+      f
+    end
+  in
+  (match kind with
+  | `Read -> Detector.read_range d ~addr ~len
+  | `Write -> Detector.write_range d ~addr ~len);
+  Detector.happens_before d key;
+  Detector.switch_to_fiber d spawner;
+  if recycle then Detector.fiber_retire d f
+
+let previous_fibers d =
+  List.map (fun r -> r.Report.previous.Report.fiber) (Detector.races d)
+
+let bounded_width () =
+  (* 2000 request cycles, each completed before the next starts: one
+     recycled slot serves them all, so no clock grows past a few words.
+     With a fresh slot per request the 2000 key clocks reach ~16 MB. *)
+  let d = detector () in
+  for i = 0 to 1999 do
+    request d ~name:"req" ~key:(10_000 + i) ~kind:`Write ~addr:base ~len:64;
+    Detector.happens_after d (10_000 + i)
+  done;
+  Alcotest.(check int) "no race" 0 (Detector.races_total d);
+  let bytes = Detector.sync_bytes d in
+  if bytes >= 2000 * 8 * 16 then
+    Alcotest.failf "sync clocks take %d bytes for 2000 keys" bytes
+
+let cross_thread_reuse () =
+  (* A slot retired under one host fiber is not handed to a spawn from a
+     host fiber that never acquired its final release. *)
+  let d = detector () in
+  let h2 = Detector.fiber_create d "host2" in
+  let x = base and y = base + 512 in
+  request d ~name:"req-a" ~key:1 ~kind:`Write ~addr:x ~len:8;
+  Detector.happens_after d 1;
+  (* reuses req-a's slot: main acquired its release *)
+  request d ~name:"req-b" ~key:2 ~kind:`Write ~addr:y ~len:8;
+  Detector.switch_to_fiber d h2;
+  request d ~name:"req-c" ~key:3 ~kind:`Write ~addr:x ~len:8;
+  Detector.write_range d ~addr:y ~len:8;
+  Alcotest.(check int) "both writes race" 2 (Detector.races_total d);
+  (* each epoch names the owner of the slot at that time *)
+  Alcotest.(check (list string)) "previous owners" [ "req-a"; "req-b" ]
+    (previous_fibers d)
+
+let reused_slot_still_races () =
+  (* host2 knows the old owner's whole history, but not the new owner's:
+     the new owner's clock starts above everything host2 has seen. *)
+  let d = detector () in
+  let main = Detector.main_fiber d and h2 = Detector.fiber_create d "host2" in
+  request d ~name:"req-a" ~key:1 ~kind:`Write ~addr:(base + 512) ~len:8;
+  Detector.happens_after d 1;
+  Detector.happens_before d 9;
+  Detector.switch_to_fiber d h2;
+  Detector.happens_after d 9;
+  Detector.switch_to_fiber d main;
+  request d ~name:"req-b" ~key:2 ~kind:`Write ~addr:base ~len:8;
+  Detector.switch_to_fiber d h2;
+  Detector.read_range d ~addr:base ~len:8;
+  Alcotest.(check int) "read races the new owner" 1 (Detector.races_total d);
+  Alcotest.(check (list string)) "previous" [ "req-b" ] (previous_fibers d)
+
+let pinned_slot () =
+  (* req-a accesses after its last release: that epoch was never
+     published, so its slot stays pinned and req-b gets a fresh one. *)
+  let d = detector () in
+  let main = Detector.main_fiber d in
+  let a = Detector.fiber_spawn d "req-a" in
+  Detector.happens_before d 1;
+  Detector.write_range d ~addr:base ~len:8;
+  Detector.switch_to_fiber d main;
+  Detector.fiber_retire d a;
+  Detector.happens_after d 1;
+  request d ~name:"req-b" ~key:2 ~kind:`Write ~addr:base ~len:8;
+  Alcotest.(check int) "unpublished write races" 1 (Detector.races_total d);
+  Alcotest.(check (list string)) "previous" [ "req-a" ] (previous_fibers d)
+
+let retire_preconditions () =
+  let d = detector () in
+  let main = Detector.main_fiber d in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "retiring %s did not raise" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "the main fiber" (fun () -> Detector.fiber_retire d main);
+  let f = Detector.fiber_spawn d "req" in
+  raises "the current fiber" (fun () -> Detector.fiber_retire d f);
+  Detector.switch_to_fiber d main;
+  Detector.fiber_retire d f;
+  raises "a retired fiber" (fun () -> Detector.fiber_retire d f)
+
+(* Differential property: a detector recycling the slots of retired
+   spawned fibers reports exactly what one giving every fiber a fresh
+   slot reports (fiber_create + switch_to_fiber_sync, never retired).
+   The one permitted difference is the reader named by a write racing a
+   promoted read clock: there a new owner's read replaces its
+   predecessor's entry, and Vclock.find_gt names the lowest slot. *)
+type sop =
+  | SSwitch of int
+  | SHb of int
+  | SHa of int
+  | SRead of int * int (* offset, length *)
+  | SWrite of int * int
+  | SSpawn of [ `Read | `Write ] * int * int
+  | SAcquire of int (* the key of the (n+1)-th latest spawn *)
+
+let sop_gen =
+  QCheck.Gen.(
+    (* single cells, partial pages, and whole pages so uniform pages,
+       materialized pages and promoted read clocks all occur *)
+    let off = frequency [ (3, 0 -- 40); (2, return 0); (1, 1000 -- 1040) ] in
+    let len = frequency [ (3, 1 -- 48); (2, return 2048); (1, 900 -- 1200) ] in
+    let kind = oneofl [ `Read; `Write ] in
+    frequency
+      [
+        (2, map (fun h -> SSwitch h) (0 -- 2));
+        (1, map (fun k -> SHb k) (0 -- 2));
+        (1, map (fun k -> SHa k) (0 -- 2));
+        (2, map2 (fun o l -> SRead (o, l)) off len);
+        (2, map2 (fun o l -> SWrite (o, l)) off len);
+        (4, map3 (fun k o l -> SSpawn (k, o, l)) kind off len);
+        (3, map (fun j -> SAcquire j) (0 -- 2));
+      ])
+
+let show_sop = function
+  | SSwitch h -> Printf.sprintf "switch %d" h
+  | SHb k -> Printf.sprintf "hb %d" k
+  | SHa k -> Printf.sprintf "ha %d" k
+  | SRead (o, l) -> Printf.sprintf "read %d#%d" o l
+  | SWrite (o, l) -> Printf.sprintf "write %d#%d" o l
+  | SSpawn (k, o, l) ->
+      Printf.sprintf "spawn %s %d#%d"
+        (match k with `Read -> "read" | `Write -> "write")
+        o l
+  | SAcquire j -> Printf.sprintf "acquire -%d" j
+
+let spawn_key i = 100 + i
+
+let run_sops ~recycle ops =
+  let d = Detector.create ~granule:8 () in
+  Detector.on_alloc d ~base ~size:2048;
+  let hosts =
+    [|
+      Detector.main_fiber d;
+      Detector.fiber_create d "h1";
+      Detector.fiber_create d "h2";
+    |]
+  in
+  let spawned = ref 0 in
+  List.iter
+    (function
+      | SSwitch h -> Detector.switch_to_fiber d hosts.(h)
+      | SHb k -> Detector.happens_before d k
+      | SHa k -> Detector.happens_after d k
+      | SRead (off, len) -> Detector.read_range d ~addr:(base + off) ~len
+      | SWrite (off, len) -> Detector.write_range d ~addr:(base + off) ~len
+      | SSpawn (kind, off, len) ->
+          (* a spawned fiber has no context, so its name is its origin *)
+          let name = Printf.sprintf "s%d" !spawned
+          and key = spawn_key !spawned in
+          incr spawned;
+          request ~recycle d ~name ~key ~kind ~addr:(base + off) ~len
+      | SAcquire j ->
+          if !spawned > 0 then
+            Detector.happens_after d
+              (spawn_key (!spawned - 1 - (j mod !spawned))))
+    ops;
+  d
+
+let prop_slot_reuse_matches_fresh_slots =
+  QCheck.Test.make ~name:"slot reuse = fresh slots" ~count:500
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map show_sop l))
+       QCheck.Gen.(list_size (0 -- 60) sop_gen))
+    (fun ops ->
+      let reused = run_sops ~recycle:true ops
+      and fresh = run_sops ~recycle:false ops in
+      let spawned_reads =
+        List.filter_map
+          (function
+            | SSpawn (kind, off, len) -> Some (kind, off, len) | _ -> None)
+          ops
+        |> List.mapi (fun i (kind, off, len) ->
+               (Printf.sprintf "s%d" i, kind, base + off, len))
+      in
+      (* did spawned fiber [name] read the cell at [addr]? *)
+      let read_by name addr =
+        List.exists
+          (fun (n, kind, lo, len) ->
+            n = name && kind = `Read && addr < lo + len && addr + 8 > lo)
+          spawned_reads
+      in
+      let same (a : Report.t) (b : Report.t) =
+        a = b
+        || a.Report.current.Report.kind = `Write
+           && a.Report.previous.Report.kind = `Read
+           && { a with previous = b.Report.previous } = b
+           && { a.Report.previous with fiber = b.Report.previous.Report.fiber }
+              = b.Report.previous
+           && read_by a.Report.previous.Report.fiber a.Report.addr
+      in
+      let ra = Detector.races reused and rb = Detector.races fresh in
+      Detector.races_total reused = Detector.races_total fresh
+      && List.map Report.dedup_key ra = List.map Report.dedup_key rb
+      && List.for_all2 same ra rb)
+
 let tests =
   [
     Alcotest.test_case "vclock basics" `Quick vclock_basics;
@@ -1016,6 +1236,12 @@ let tests =
     Alcotest.test_case "report pretty-print" `Quick report_pp_smoke;
     QCheck_alcotest.to_alcotest prop_fasttrack_vs_reference;
     QCheck_alcotest.to_alcotest prop_flat_arena_matches_oracle;
+    Alcotest.test_case "bounded clock width" `Quick bounded_width;
+    Alcotest.test_case "cross-thread slot reuse" `Quick cross_thread_reuse;
+    Alcotest.test_case "reused slot still races" `Quick reused_slot_still_races;
+    Alcotest.test_case "pinned slot" `Quick pinned_slot;
+    Alcotest.test_case "retire preconditions" `Quick retire_preconditions;
+    QCheck_alcotest.to_alcotest prop_slot_reuse_matches_fresh_slots;
   ]
 
 let () = Alcotest.run "tsan" [ ("tsan", tests) ]
