@@ -8,19 +8,12 @@
    Prng-jittered exponential backoff the in-simulation recovery paths
    use — the yield counts are deterministic under --seed, and the
    client folds the daemon's retry_after hint and a wall-clock quantum
-   into actual sleeps. Layered under it is a Resilience.Breaker
-   circuit: consecutive connection failures open the circuit, after
-   which attempts wait out a deterministic cooldown and probe
-   half-open — so a client hammering a dead daemon backs off across
-   requests (the bench campaign's many jobs), not just within one.
+   into actual sleeps.
 
-   Beyond single requests:
-   - [watch JOB] subscribes to a running job's live event stream and
-     prints frames until the terminal end/lagged frame;
-   - [bench] (no app/flavor) runs a sustained deterministic campaign of
-     lint/soak jobs, verifying every daemon verdict byte-for-byte
-     against the same job computed in-process — the soak driver for
-     kill/restart recovery testing. *)
+   Beyond single requests, [bench] (no app/flavor) runs a sustained
+   deterministic campaign of lint/soak jobs, verifying every daemon
+   verdict byte-for-byte against the same job computed in-process — it
+   doubles as the kill/restart recovery soak. *)
 
 module Mjson = Reporting.Mjson
 
@@ -45,11 +38,6 @@ let usage () =
     \  boom                       chaos drill: crash a worker on purpose@.\
     \  spin STEPS                 wedge drill: occupy a worker until the@.\
     \                             step-budget watchdog fires@.\
-    \  watch JOB|COMMAND          tail a running job's live event stream@.\
-    \                             (JOB is the 32-hex digest, or repeat the@.\
-    \                             submit command to address it by content)@.\
-    \  resize N                   set the worker-pool target (clamped to the@.\
-    \                             daemon's --workers-min/max window)@.\
     \  health                     liveness + queue depth@.\
     \  stats                      daemon counters@.\
     \  shutdown                   request a graceful drain@.@.\
@@ -63,8 +51,8 @@ let usage () =
     \  --recheck         campaign: re-submit every distinct job afterwards@.\
     \                    and require a byte-identical cached:true reply@.@.\
      exit codes: 0 ok, 1 job crashed or campaign verdict mismatch (post-mortem@.\
-     printed), 2 client/protocol error or lagged stream, 3 daemon unreachable@.\
-     or still busy after all retries@."
+     printed), 2 client/protocol error, 3 daemon unreachable or still busy@.\
+     after all retries@."
     default_socket
 
 let die msg =
@@ -83,14 +71,19 @@ type opts = {
   rest : string list;
 }
 
+(* A flag-shaped value is a missing value: [--socket --retries 1] must not
+   dial a socket named "--retries". *)
+let is_value v = not (String.length v > 0 && v.[0] = '-')
+
 let parse_args argv =
   let rec go acc = function
     | [] -> acc
     | "--help" :: _ | "-h" :: _ ->
         usage ();
         exit 0
-    | "--socket" :: v :: rest -> go { acc with socket = v } rest
-    | "--faults" :: v :: rest -> go { acc with faults = Some v } rest
+    | "--socket" :: v :: rest when is_value v -> go { acc with socket = v } rest
+    | "--faults" :: v :: rest when is_value v ->
+        go { acc with faults = Some v } rest
     | "--fault-seed" :: v :: rest -> (
         match int_of_string_opt v with
         | Some n -> go { acc with fault_seed = n } rest
@@ -108,8 +101,8 @@ let parse_args argv =
         | Some n when n > 0 -> go { acc with jobs = n } rest
         | _ -> die (Fmt.str "--jobs expects a positive integer, got %S" v))
     | "--recheck" :: rest -> go { acc with recheck = true } rest
-    | [ ("--socket" | "--faults" | "--fault-seed" | "--seed" | "--retries"
-        | "--jobs") as f ] ->
+    | (("--socket" | "--faults") as f) :: _
+    | [ (("--fault-seed" | "--seed" | "--retries" | "--jobs") as f) ] ->
         die (f ^ " requires a value")
     | arg :: rest -> go { acc with rest = acc.rest @ [ arg ] } rest
   in
@@ -138,39 +131,21 @@ let job_of_words o words : Server.Protocol.job =
       | _ -> die (Fmt.str "spin expects a positive step count, got %S" n))
   | cmd -> die (Fmt.str "bad command %S" (String.concat " " cmd))
 
-let is_hex_digest s =
-  String.length s = 32
-  && String.for_all
-       (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false)
-       s
-
-type cmd =
-  | Rpc of Server.Protocol.request
-  | Watch of string  (* job digest *)
-  | Campaign
+type cmd = Rpc of Server.Protocol.request | Campaign
 
 let cmd_of_opts o : cmd =
   match o.rest with
   | [ "health" ] -> Rpc Health
   | [ "stats" ] -> Rpc Stats
   | [ "shutdown" ] -> Rpc Shutdown
-  | [ "resize"; n ] -> (
-      match int_of_string_opt n with
-      | Some w when w > 0 -> Rpc (Resize w)
-      | _ -> die (Fmt.str "resize expects a positive worker count, got %S" n))
-  | "watch" :: spec -> (
-      match spec with
-      | [ d ] when is_hex_digest d -> Watch (String.lowercase_ascii d)
-      | [] -> die "watch expects a job digest or a submit command"
-      | words -> Watch (Server.Protocol.job_digest (job_of_words o words)))
   | [ "bench" ] -> Campaign
   | [] -> die "no command given"
   | words -> Rpc (Submit (job_of_words o words))
 
 exception Conn_lost of string
 (* The daemon went away mid-conversation (e.g. killed between our
-   request and its reply) — a connection failure for the retry loop and
-   the breaker, not a protocol error. *)
+   request and its reply) — a connection failure for the retry loop,
+   not a protocol error. *)
 
 (* One connection, one frame each way. *)
 let roundtrip ~socket req : Mjson.t =
@@ -208,14 +183,9 @@ let status j =
   | Some s -> s
   | None -> "error"
 
-let str_member k j = Mjson.member k j |> Fun.flip Option.bind Mjson.to_str
-
-(* One request under the full client policy: bounded seeded retries for
-   busy replies and connection failures, gated by the circuit breaker
-   (connection failures count against it; busy does not — a shedding
-   daemon is alive). The breaker outlives single calls, so campaign
-   jobs against a dead daemon share one cooldown ladder. *)
-let rpc ~breaker o req : Mjson.t =
+(* One request under the client policy: bounded seeded retries for busy
+   replies and connection failures. *)
+let rpc o req : Mjson.t =
   let hint = ref 1 in
   Resilience.with_retries ~label:"cusanctl" ~max_attempts:o.retries
     ~jitter:(Faultsim.Prng.create o.seed)
@@ -223,91 +193,23 @@ let rpc ~breaker o req : Mjson.t =
       Unix.sleepf (quantum *. float_of_int (yields * !hint)))
     ~retryable:(function Busy _ -> true | e -> is_conn_error e)
     (fun ~attempt:_ ->
-      Resilience.Breaker.call breaker
-        ~on_wait:(fun ~yields -> Unix.sleepf (quantum *. float_of_int yields))
-        ~failure:is_conn_error
-        (fun () ->
-          let j = roundtrip ~socket:o.socket req in
-          match status j with
-          | "busy" ->
-              hint :=
-                (match
-                   Mjson.member "retry_after" j
-                   |> Fun.flip Option.bind Mjson.to_int
-                 with
-                | Some n when n > 0 -> n
-                | _ -> 1);
-              raise (Busy !hint)
-          | _ -> j))
+      let j = roundtrip ~socket:o.socket req in
+      match status j with
+      | "busy" ->
+          hint :=
+            (match
+               Mjson.member "retry_after" j |> Fun.flip Option.bind Mjson.to_int
+             with
+            | Some n when n > 0 -> n
+            | _ -> 1);
+          raise (Busy !hint)
+      | _ -> j)
 
 let exit_of_reply reply =
   match status reply with
   | "ok" -> exit 0
   | "crashed" -> exit 1
   | _ -> exit 2
-
-(* --- watch: tail a running job's event stream --------------------------- *)
-
-(* The stream is many frames on one connection, so reads go through a
-   buffered channel (Protocol.read_frame would discard frames that
-   arrive coalesced in one segment). *)
-let watch ~breaker o digest =
-  let open_stream ~attempt:_ =
-    Resilience.Breaker.call breaker
-      ~on_wait:(fun ~yields -> Unix.sleepf (quantum *. float_of_int yields))
-      ~failure:is_conn_error
-      (fun () ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        try
-          Unix.connect fd (Unix.ADDR_UNIX o.socket);
-          (try
-             Unix.setsockopt_float fd Unix.SO_RCVTIMEO 300.;
-             Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.
-           with Unix.Unix_error _ -> ());
-          Server.Protocol.write_frame fd
-            (Server.Protocol.request_to_json (Subscribe { digest }));
-          Unix.in_channel_of_descr fd
-        with e ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          raise e)
-  in
-  let ic =
-    Resilience.with_retries ~label:"cusanctl-watch" ~max_attempts:o.retries
-      ~jitter:(Faultsim.Prng.create o.seed)
-      ~on_backoff:(fun ~yields -> Unix.sleepf (quantum *. float_of_int yields))
-      ~retryable:is_conn_error open_stream
-  in
-  let rec pump () =
-    match input_line ic with
-    | exception End_of_file ->
-        Fmt.epr "cusanctl: stream closed without an end frame@.";
-        exit 3
-    | exception Sys_error msg ->
-        Fmt.epr "cusanctl: stream read failed: %s@." msg;
-        exit 3
-    | line -> (
-        print_endline line;
-        match Mjson.of_string line with
-        | Error msg ->
-            Fmt.epr "cusanctl: bad stream frame: %s@." msg;
-            exit 2
-        | Ok j -> (
-            match str_member "type" j with
-            | Some "end" -> (
-                match str_member "status" j with
-                | Some ("ok" | "stalled" | "cached") -> exit 0
-                | Some "crashed" -> exit 1
-                | _ -> exit 2)
-            | Some "lagged" ->
-                Fmt.epr "cusanctl: dropped as a lagged subscriber@.";
-                exit 2
-            | Some _ -> pump ()
-            | None ->
-                (* a plain reply (e.g. "no such job" error): map it like
-                   any single-frame conversation *)
-                exit_of_reply j))
-  in
-  pump ()
 
 (* --- bench campaign: the soak driver ------------------------------------ *)
 
@@ -317,7 +219,7 @@ let watch ~breaker o digest =
    the client is its own oracle. This doubles as the kill/recover soak:
    run it, kill -9 the daemon mid-campaign, and the supervised restart
    plus journal recovery must keep every verdict byte-identical. *)
-let campaign ~breaker o =
+let campaign o =
   let lints = Server.Engine.lint_target_ids () in
   let soaks = Server.Engine.soak_case_ids () in
   if lints = [] || soaks = [] then die "no lint targets or soak cases built in";
@@ -364,7 +266,7 @@ let campaign ~breaker o =
         let digest = Server.Protocol.job_digest job in
         if not (Hashtbl.mem expected digest) then order := digest :: !order;
         let want = expect digest job in
-        match rpc ~breaker o (Submit job) with
+        match rpc o (Submit job) with
         | reply -> (
             consecutive_unreachable := 0;
             match status reply with
@@ -411,7 +313,7 @@ let campaign ~breaker o =
              companion list: recompute from the mix *)
           List.find (fun j -> Server.Protocol.job_digest j = digest) mix
         in
-        match rpc ~breaker o (Submit job) with
+        match rpc o (Submit job) with
         | reply ->
             let cached =
               Mjson.member "cached" reply |> Fun.flip Option.bind Mjson.to_bool
@@ -473,14 +375,10 @@ let campaign ~breaker o =
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let o = parse_args (List.tl (Array.to_list Sys.argv)) in
-  let breaker =
-    Resilience.Breaker.create ~jitter:(Faultsim.Prng.create (o.seed + 1)) ()
-  in
   match cmd_of_opts o with
-  | Watch digest -> watch ~breaker o digest
-  | Campaign -> campaign ~breaker o
+  | Campaign -> campaign o
   | Rpc req -> (
-      match rpc ~breaker o req with
+      match rpc o req with
       | reply ->
           print_endline (Mjson.to_string reply);
           exit_of_reply reply

@@ -1,6 +1,6 @@
 (* cusand: the long-running analysis daemon. Accepts lint / soak /
    bench jobs over a Unix-domain socket (the cusand/2 wire protocol),
-   shards them across an elastic domain pool, and survives anything a
+   shards them across a domain pool, and survives anything a
    job does: crashes are reaped into post-mortem replies, wedges become
    watchdog [stalled] verdicts, overload is shed with retry_after
    hints, and SIGTERM drains gracefully — admission stops, in-flight
@@ -23,10 +23,7 @@ let usage () =
   Fmt.pr
     "usage: cusand [options]@.@.\
     \  --socket PATH      listen on PATH (default %s)@.\
-    \  --workers N        initial worker domains (default 2)@.\
-    \  --workers-min N    elastic pool floor (default: --workers)@.\
-    \  --workers-max N    elastic pool ceiling (default: --workers); when@.\
-    \                     min < max the daemon auto-scales on queue depth@.\
+    \  --workers N        worker domains (default 2)@.\
     \  --queue-max N      in-flight high-water mark; beyond it jobs are@.\
     \                     shed with a busy/retry_after reply (default 8)@.\
     \  --watchdog STEPS   scheduler step budget per job; wedged jobs@.\
@@ -42,8 +39,7 @@ let usage () =
     \                     it on abnormal exit with capped backoff@.\
     \  --pid-file PATH    write the daemon's pid to PATH (under --supervise@.\
     \                     this is the child's pid, rewritten per restart)@.\
-    \  --trace            arm the accept loop's flight recorder@.\
-    \  --verbose          log admissions, sheds, resizes, reaped jobs@.@.\
+    \  --verbose          log admissions, sheds, reaped jobs@.@.\
      SIGTERM or SIGINT (or a shutdown frame) requests a graceful drain.@."
     default_socket Server.Engine.default_watchdog
 
@@ -56,6 +52,10 @@ let pos_int flag v =
   match int_of_string_opt v with
   | Some n when n > 0 -> n
   | _ -> die (Fmt.str "%s expects a positive integer, got %S" flag v)
+
+(* A path value may not look like a flag: [--state --supervise] must not
+   create a state directory named "--supervise". *)
+let is_value v = not (String.length v > 0 && v.[0] = '-')
 
 let write_pid_file path pid =
   try
@@ -178,26 +178,16 @@ let () =
   let stats_file = ref None in
   let pid_file = ref None in
   let supervised = ref false in
-  (* min/max default to the final --workers value, so elasticity stays
-     opt-in: resolve the window after parsing. *)
-  let workers_min = ref None in
-  let workers_max = ref None in
   let rec parse = function
     | [] -> ()
     | "--help" :: _ | "-h" :: _ ->
         usage ();
         exit 0
-    | "--socket" :: v :: rest ->
+    | "--socket" :: v :: rest when is_value v ->
         cfg := { !cfg with Server.Daemon.socket_path = v };
         parse rest
     | "--workers" :: v :: rest ->
         cfg := { !cfg with Server.Daemon.workers = pos_int "--workers" v };
-        parse rest
-    | "--workers-min" :: v :: rest ->
-        workers_min := Some (pos_int "--workers-min" v);
-        parse rest
-    | "--workers-max" :: v :: rest ->
-        workers_max := Some (pos_int "--workers-max" v);
         parse rest
     | "--queue-max" :: v :: rest ->
         cfg := { !cfg with Server.Daemon.queue_max = pos_int "--queue-max" v };
@@ -211,7 +201,7 @@ let () =
             cfg := { !cfg with Server.Daemon.cache_cap = n };
             parse rest
         | _ -> die (Fmt.str "--cache-cap expects a non-negative integer, got %S" v))
-    | "--state" :: v :: rest ->
+    | "--state" :: v :: rest when is_value v ->
         cfg := { !cfg with Server.Daemon.state_dir = Some v };
         parse rest
     | "--compact-every" :: v :: rest ->
@@ -225,33 +215,27 @@ let () =
             parse rest
         | _ ->
             die (Fmt.str "--drain-timeout expects a non-negative number, got %S" v))
-    | "--stats" :: v :: rest ->
+    | "--stats" :: v :: rest when is_value v ->
         stats_file := Some v;
         parse rest
-    | "--pid-file" :: v :: rest ->
+    | "--pid-file" :: v :: rest when is_value v ->
         pid_file := Some v;
         parse rest
     | "--supervise" :: rest ->
         supervised := true;
         parse rest
-    | "--trace" :: rest ->
-        cfg := { !cfg with Server.Daemon.trace = true };
-        parse rest
     | "--verbose" :: rest ->
         cfg := { !cfg with Server.Daemon.verbose = true };
         parse rest
-    | [ ("--socket" | "--workers" | "--workers-min" | "--workers-max"
-        | "--queue-max" | "--watchdog" | "--cache-cap" | "--state"
-        | "--compact-every" | "--drain-timeout" | "--stats" | "--pid-file") as
-        flag ] ->
+    | (("--socket" | "--state" | "--stats" | "--pid-file") as flag) :: _
+    | [
+        (( "--workers" | "--queue-max" | "--watchdog" | "--cache-cap"
+         | "--compact-every" | "--drain-timeout" ) as flag);
+      ] ->
         die (flag ^ " requires a value")
     | arg :: _ -> die (Fmt.str "unknown argument %S" arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let lo = Option.value !workers_min ~default:!cfg.Server.Daemon.workers in
-  let hi = Option.value !workers_max ~default:!cfg.Server.Daemon.workers in
-  if lo > hi then die "--workers-min must be <= --workers-max";
-  cfg := { !cfg with Server.Daemon.workers_min = lo; workers_max = hi };
   if !supervised then supervise !cfg !stats_file !pid_file
   else begin
     Option.iter (fun p -> write_pid_file p (Unix.getpid ())) !pid_file;

@@ -23,6 +23,21 @@
        earlier would order in-epoch RMA with local accesses (false
        negatives); harvesting later would leak the ordering the fence
        does establish (false positives).
+   - An epoch-m operation must also be ordered after the epoch-(m-1)
+     operations on the same target bytes, which fence #m completed.
+     Two rules give it that ordering whichever side the simulator
+     resumes first after the collective:
+     * leaving fence #m releases the epoch-m key again, after the
+       harvest, so a target fiber that runs after the target left the
+       fence sees the earlier epochs' completions;
+     * a target fiber also acquires the target's completion keys of
+       epochs below its own that are still pending, which covers a
+       target that has not left fence #m yet. They are all registered:
+       every origin made its epoch-(m-1) calls before entering fence #m,
+       and it makes an epoch-m call only after leaving it.
+     Both are sound. The re-release adds only the target host's state
+     at the end of fence #m, and that state comes before every epoch-m
+     access; the pending keys belong to operations fence #m completed.
    - Accumulates to the same target in the same epoch share one fiber:
      atomic and mutually ordered per the MPI standard (same op), but
      still racing with local accesses and with Put/Get. *)
@@ -74,7 +89,8 @@ let on_fence_enter t tsan ~wid =
   Hashtbl.replace t.fence_count wid n;
   T.happens_before tsan (epoch_key ~wid ~epoch:n)
 
-(* Leaving fence #m: all RMA of epochs < m is complete here. *)
+(* Leaving fence #m: all RMA of epochs < m is complete here, and the
+   epoch-m key now carries that completion to later epoch-m fibers. *)
 let on_fence_leave t tsan ~wid =
   let m = fences_entered t ~wid in
   (match Hashtbl.find_opt t.pending wid with
@@ -83,7 +99,18 @@ let on_fence_leave t tsan ~wid =
       List.iter (fun (_, k) -> T.happens_after tsan k) now;
       l := later
   | None -> ());
+  T.happens_before tsan (epoch_key ~wid ~epoch:m);
   Hashtbl.remove t.acc_fibers (wid, m - 1)
+
+(* Start of an epoch-[epoch] target fiber: after the target's state at
+   fence #epoch, and after the earlier epochs' operations that fence
+   completed but the target has not harvested yet. *)
+let acquire_epoch_start t tsan ~wid ~epoch =
+  T.happens_after tsan (epoch_key ~wid ~epoch);
+  match Hashtbl.find_opt t.pending wid with
+  | Some l ->
+      List.iter (fun (e, k) -> if e < epoch then T.happens_after tsan k) !l
+  | None -> ()
 
 (* An origin-side buffer access: concurrent with the origin host until
    its next fence (the buffer must not be reused before then). The
@@ -115,7 +142,7 @@ let target_access t tsan ~wid ~epoch ~origin_rank ~call ~ptr ~bytes ~kind =
   let saved = T.current_fiber tsan in
   let f = T.fiber_create tsan (Fmt.str "rma:%s@rank%d" call origin_rank) in
   T.switch_to_fiber tsan f;
-  T.happens_after tsan (epoch_key ~wid ~epoch);
+  acquire_epoch_start t tsan ~wid ~epoch;
   T.with_context tsan call (fun () ->
       let addr = Memsim.Ptr.addr ptr in
       match kind with
@@ -137,7 +164,7 @@ let target_accumulate t tsan ~wid ~epoch ~call ~ptr ~bytes =
         let f = T.fiber_create tsan (Fmt.str "rma:accumulate#w%d" wid) in
         let k = fresh_key () in
         T.switch_to_fiber tsan f;
-        T.happens_after tsan (epoch_key ~wid ~epoch);
+        acquire_epoch_start t tsan ~wid ~epoch;
         T.switch_to_fiber tsan saved;
         Hashtbl.replace t.acc_fibers (wid, epoch) (f, k);
         add_pending t ~wid ~epoch k;

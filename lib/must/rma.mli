@@ -10,7 +10,10 @@
     respects the collective fence schedule: entering fence #n publishes
     the host state under the epoch-n key; an operation is stamped with
     its origin's fence count; leaving fence #m acquires exactly the
-    completion keys of epochs < m. Accumulates to one target share a
+    completion keys of epochs < m and publishes the epoch-m key again;
+    an epoch-m window access also acquires the target's still-pending
+    completion keys of epochs < m, so it is ordered after the earlier
+    operations fence #m completed. Accumulates to one target share a
     per-(window, epoch) fiber — atomic and mutually ordered per the MPI
     standard, but racing with everything else. *)
 

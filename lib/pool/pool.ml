@@ -19,43 +19,19 @@ type t = {
   mutable excl_pending : int; (* tasks waiting to run exclusively *)
   mutable excl_running : bool;
   mutable stop : bool;
-  mutable target : int; (* desired worker count (resize moves this) *)
-  mutable alive : int; (* workers that have not retired *)
-  mutable next_id : int;
-  workers : (int, unit Domain.t) Hashtbl.t; (* id -> domain, incl. retired *)
-  mutable retired : int list; (* exited worker ids awaiting their join *)
+  size : int;
+  mutable domains : unit Domain.t list; (* emptied by the first shutdown *)
 }
 
-let size t =
-  Mutex.lock t.m;
-  let n = t.target in
-  Mutex.unlock t.m;
-  n
-
-let alive t =
-  Mutex.lock t.m;
-  let n = t.alive in
-  Mutex.unlock t.m;
-  n
+let size t = t.size
 
 let may_start_task t =
   (not (Queue.is_empty t.queue)) && t.excl_pending = 0 && not t.excl_running
 
-(* A worker only ever considers retiring *between* tasks — at the top
-   of its loop, never mid-job — so a shrink quiesces surplus workers at
-   task boundaries and can never abandon a running job. The shutdown
-   path wins over retirement so a stopping pool still drains its
-   queue. *)
-let worker t id () =
+let worker t () =
   Mutex.lock t.m;
   let rec loop () =
-    if t.alive > t.target && not t.stop then begin
-      t.alive <- t.alive - 1;
-      t.retired <- id :: t.retired;
-      Condition.broadcast t.changed;
-      Mutex.unlock t.m
-    end
-    else if may_start_task t then begin
+    if may_start_task t then begin
       let task = Queue.pop t.queue in
       t.active <- t.active + 1;
       Mutex.unlock t.m;
@@ -65,37 +41,13 @@ let worker t id () =
       Condition.broadcast t.changed;
       loop ()
     end
-    else if t.stop && Queue.is_empty t.queue then begin
-      t.alive <- t.alive - 1;
-      Mutex.unlock t.m
-    end
+    else if t.stop && Queue.is_empty t.queue then Mutex.unlock t.m
     else begin
       Condition.wait t.changed t.m;
       loop ()
     end
   in
   loop ()
-
-let spawn_locked t =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  t.alive <- t.alive + 1;
-  Hashtbl.replace t.workers id (Domain.spawn (worker t id))
-
-(* Retired workers have already left their loop; collecting their
-   domains under the lock and joining outside it is cheap and never
-   blocks on a running task. *)
-let reap_locked t =
-  let ds =
-    List.filter_map
-      (fun id ->
-        let d = Hashtbl.find_opt t.workers id in
-        Hashtbl.remove t.workers id;
-        d)
-      t.retired
-  in
-  t.retired <- [];
-  ds
 
 let create ~workers =
   if workers < 1 then invalid_arg "Pool.create: workers must be >= 1";
@@ -108,41 +60,12 @@ let create ~workers =
       excl_pending = 0;
       excl_running = false;
       stop = false;
-      target = workers;
-      alive = 0;
-      next_id = 0;
-      workers = Hashtbl.create 8;
-      retired = [];
+      size = workers;
+      domains = [];
     }
   in
-  Mutex.lock t.m;
-  for _ = 1 to workers do
-    spawn_locked t
-  done;
-  Mutex.unlock t.m;
+  t.domains <- List.init workers (fun _ -> Domain.spawn (worker t));
   t
-
-(* Grow or shrink the pool to [n] workers. Growth spawns the deficit
-   immediately; shrinkage only moves the target — surplus workers
-   retire themselves at their next task boundary (a worker mid-job
-   finishes that job first). Returns the previous target. *)
-let resize t n =
-  if n < 1 then invalid_arg "Pool.resize: workers must be >= 1";
-  Mutex.lock t.m;
-  if t.stop then begin
-    Mutex.unlock t.m;
-    invalid_arg "Pool.resize: pool is shut down"
-  end;
-  let old = t.target in
-  t.target <- n;
-  while t.alive < t.target do
-    spawn_locked t
-  done;
-  Condition.broadcast t.changed;
-  let dead = reap_locked t in
-  Mutex.unlock t.m;
-  List.iter Domain.join dead;
-  old
 
 let submit t task =
   Mutex.lock t.m;
@@ -214,133 +137,28 @@ let map_pool t f xs =
 
 (* --- cancellable submissions -------------------------------------------- *)
 
-(* A handle tracks one submitted task through its life. Cancellation is
-   cooperative: domains cannot be preempted, so a [Pending] task is
-   dequeued-by-flag (the wrapper sees the state and returns without
-   running user code), while a [Running] task only observes the request
-   through the [cancelled] probe it was handed. Either way the handle
-   resolves exactly once, and the result of a cancelled-while-running
-   task is still recorded — the caller already moved on, but the slot's
-   bookkeeping stays consistent. *)
+(* Cancellation is cooperative: domains cannot be preempted, so the
+   handle is just the flag. A task still queued when the flag is set is
+   skipped without running user code; a running task only observes the
+   request through the [cancelled] probe it was handed. *)
 
-type 'a state =
-  | Pending
-  | Running
-  | Done of ('a, exn) result
-  | Cancelled
-
-type 'a handle = {
-  hm : Mutex.t;
-  hc : Condition.t;
-  mutable state : 'a state;
-  flag : bool Atomic.t; (* set by [cancel]; polled by the task *)
-}
+type handle = bool Atomic.t
 
 let submit_cancellable t f =
-  let h =
-    { hm = Mutex.create (); hc = Condition.create (); state = Pending;
-      flag = Atomic.make false }
-  in
+  let flag = Atomic.make false in
   submit t (fun () ->
-      Mutex.lock h.hm;
-      match h.state with
-      | Cancelled | Done _ | Running -> Mutex.unlock h.hm
-      | Pending ->
-          h.state <- Running;
-          Mutex.unlock h.hm;
-          let r =
-            try Ok (f ~cancelled:(fun () -> Atomic.get h.flag))
-            with e -> Error e
-          in
-          Mutex.lock h.hm;
-          h.state <- Done r;
-          Condition.broadcast h.hc;
-          Mutex.unlock h.hm);
-  h
+      if not (Atomic.get flag) then f ~cancelled:(fun () -> Atomic.get flag));
+  flag
 
-let cancel h =
-  Atomic.set h.flag true;
-  Mutex.lock h.hm;
-  (match h.state with
-  | Pending ->
-      h.state <- Cancelled;
-      Condition.broadcast h.hc
-  | Running | Done _ | Cancelled -> ());
-  Mutex.unlock h.hm
-
-let poll h =
-  Mutex.lock h.hm;
-  let s = h.state in
-  Mutex.unlock h.hm;
-  match s with
-  | Done r -> `Done r
-  | Cancelled -> `Cancelled
-  | Pending | Running -> `Pending
-
-(* Condition variables have no timed wait in the stdlib, so the bounded
-   variant polls: latency is capped at the poll interval, which is noise
-   against the job granularity the daemon runs at. *)
-let await ?timeout_s h =
-  match timeout_s with
-  | None ->
-      Mutex.lock h.hm;
-      let rec wait () =
-        match h.state with
-        | Done r ->
-            Mutex.unlock h.hm;
-            `Done r
-        | Cancelled ->
-            Mutex.unlock h.hm;
-            `Cancelled
-        | Pending | Running ->
-            Condition.wait h.hc h.hm;
-            wait ()
-      in
-      wait ()
-  | Some budget ->
-      let deadline = Unix.gettimeofday () +. budget in
-      let rec wait () =
-        match poll h with
-        | (`Done _ | `Cancelled) as r -> r
-        | `Pending ->
-            if Unix.gettimeofday () >= deadline then `Timeout
-            else begin
-              Unix.sleepf 0.002;
-              wait ()
-            end
-      in
-      wait ()
-
-(* Bounded map: every item gets a handle and one shared absolute
-   deadline. Slots resolve strictly by their own handle — a task that
-   outlives its deadline keeps running (domains are not preemptable) but
-   can only ever write into its own handle, so survivors' results land
-   in their input slots untouched. Timed-out slots are [None] and their
-   tasks see [cancelled () = true] at the next poll. *)
-let map_timeout t ~timeout_s f xs =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let handles = List.map (fun x -> submit_cancellable t (fun ~cancelled -> f ~cancelled x)) xs in
-  List.map
-    (fun h ->
-      let left = deadline -. Unix.gettimeofday () in
-      match await ~timeout_s:(Float.max 0. left) h with
-      | `Done r -> Some r
-      | `Cancelled -> None
-      | `Timeout ->
-          cancel h;
-          None)
-    handles
+let cancel flag = Atomic.set flag true
 
 let shutdown t =
   Mutex.lock t.m;
   t.stop <- true;
   Condition.broadcast t.changed;
-  (* Every domain ever spawned and not yet reaped — live workers (the
-     stop flag sends them home once the queue drains) and retired ones
-     awaiting their deferred join alike. *)
-  let ds = Hashtbl.fold (fun _ d acc -> d :: acc) t.workers [] in
-  Hashtbl.reset t.workers;
-  t.retired <- [];
+  (* The stop flag sends every worker home once the queue drains. *)
+  let ds = t.domains in
+  t.domains <- [];
   Mutex.unlock t.m;
   List.iter Domain.join ds
 

@@ -21,21 +21,7 @@ val create : workers:int -> t
     until its batch drains. *)
 
 val size : t -> int
-(** Target number of worker domains (the last [create]/{!resize}
-    setting). *)
-
-val alive : t -> int
-(** Workers currently alive: equals {!size} except transiently during a
-    shrink, while surplus workers are still finishing their jobs. *)
-
-val resize : t -> int -> int
-(** [resize t n] grows or shrinks the pool to [n] (≥ 1) workers and
-    returns the previous target. Growth spawns new domains immediately.
-    Shrinkage is cooperative and job-safe: surplus workers retire at
-    their next task boundary — a worker mid-job always finishes that
-    job first, so no task is ever abandoned and results are unaffected
-    by any resize sequence. Retired domains are joined lazily (on the
-    next resize or at {!shutdown}). *)
+(** Number of worker domains. *)
 
 val submit : t -> (unit -> unit) -> unit
 (** Enqueue a task. Exceptions escaping a bare submitted task are
@@ -59,51 +45,23 @@ val exclusively : t -> (unit -> 'a) -> 'a
 (** {2 Cancellable submissions}
 
     The daemon-facing surface: a submitted job can be abandoned by the
-    caller without ever corrupting another job's result slot. Domains
-    cannot be preempted, so cancellation is cooperative — a task that
-    has not started yet is simply never run, and a running task observes
-    the request only through the [cancelled] probe it was handed (the
-    simulator's step-budget watchdog bounds how long it can ignore
-    it). *)
+    caller. Domains cannot be preempted, so cancellation is cooperative
+    — a task that has not started yet is simply never run, and a running
+    task observes the request only through the [cancelled] probe it was
+    handed (the simulator's step-budget watchdog bounds how long it can
+    ignore it). *)
 
-type 'a handle
-(** One submitted task's life: pending → running → done/cancelled.
-    Resolves exactly once. *)
+type handle
+(** One submitted task's cancellation request. *)
 
-val submit_cancellable : t -> (cancelled:(unit -> bool) -> 'a) -> 'a handle
-(** Enqueue a task that receives a cancellation probe. The handle
-    captures the task's result or exception. *)
+val submit_cancellable : t -> (cancelled:(unit -> bool) -> unit) -> handle
+(** Enqueue a task that receives a cancellation probe. Like {!submit},
+    exceptions escaping the task are swallowed. *)
 
-val cancel : 'a handle -> unit
-(** Request cancellation: a pending task never runs (the handle resolves
-    [`Cancelled]); a running task keeps its worker slot until it next
-    polls [cancelled] (or finishes), and its result is still recorded. *)
-
-val poll : 'a handle -> [ `Done of ('a, exn) result | `Cancelled | `Pending ]
-(** Non-blocking look at the handle. *)
-
-val await :
-  ?timeout_s:float ->
-  'a handle ->
-  [ `Done of ('a, exn) result | `Cancelled | `Timeout ]
-(** Block until the handle resolves. With [timeout_s] the wait is
-    bounded by wall-clock time and [`Timeout] is returned once the
-    budget is spent — the task itself keeps running (cancel it to ask it
-    to stop). *)
-
-val map_timeout :
-  t ->
-  timeout_s:float ->
-  (cancelled:(unit -> bool) -> 'a -> 'b) ->
-  'a list ->
-  ('b, exn) result option list
-(** [map_timeout t ~timeout_s f xs] runs every item under one shared
-    absolute deadline and returns per-slot outcomes in input order:
-    [Some (Ok v)] / [Some (Error e)] for items that resolved in time,
-    [None] for items that timed out or were cancelled. Slots resolve
-    strictly through their own handle, so a timed-out task can never
-    corrupt a survivor's slot. Timed-out tasks are cancelled
-    (cooperatively) and may still briefly occupy a worker. *)
+val cancel : handle -> unit
+(** Request cancellation: a pending task never runs; a running task
+    keeps its worker slot until it next polls [cancelled] (or
+    finishes). *)
 
 val shutdown : t -> unit
 (** Finish all queued tasks, then join the worker domains. The pool

@@ -1,6 +1,6 @@
 (* Application-level resilience building blocks for the simulated
-   MPI+CUDA stack: bounded retry with deterministic backoff, bounded
-   waiting, and checkpoint/restore of application buffers.
+   MPI+CUDA stack: bounded retry with deterministic backoff and
+   checkpoint/restore of application buffers.
 
    Everything here is deterministic by construction. "Time" is
    scheduler progress (cooperative yields), not wall-clock time, so a
@@ -75,115 +75,6 @@ let with_retries ?(label = "retry") ?(max_attempts = 3) ?jitter
         end
   in
   go 1
-
-(* Bounded wait: poll [pred] for at most [budget] yields. Returns
-   whether the predicate became true — the caller decides what a
-   timeout means (give up, declare the peer dead, ...). A bounded
-   alternative to blocking on a condition that may never be signalled. *)
-let await ?(label = "await") ?(budget = 1000) pred =
-  let rec go n =
-    if pred () then true
-    else if n >= budget then begin
-      if Trace.Recorder.on () then
-        Trace.Recorder.instant ~cat:"resilience"
-          ~args:[ ("label", label); ("budget", string_of_int budget) ]
-          "await_timeout";
-      false
-    end
-    else begin
-      Sched.Scheduler.yield ();
-      go (n + 1)
-    end
-  in
-  go 0
-
-(* Client-side circuit breaker: the other half of a retry loop. Where
-   [with_retries] decides how long to wait between attempts, a breaker
-   decides whether an attempt should be made at all — after
-   [threshold] consecutive failures the circuit opens and calls are
-   held back for a cooldown, then exactly one half-open probe is let
-   through: success closes the circuit, failure re-opens it with a
-   doubled (capped) cooldown. Like everything here the timings are
-   deterministic: cooldowns are yield counts from the same
-   [backoff_yields] ladder (optionally Prng-jittered), spent through
-   whatever [on_wait] medium the caller maps them onto — cusanctl maps
-   them to wall-clock sleeps, tests to a recording list. *)
-module Breaker = struct
-  type state = Closed | Open | Half_open
-
-  type t = {
-    threshold : int; (* consecutive failures that open the circuit *)
-    jitter : Faultsim.Prng.t option;
-    mutable failures : int; (* consecutive failures while closed *)
-    mutable state : state;
-    mutable opens : int; (* times opened; drives the cooldown ladder *)
-    mutable cooldown : int; (* yields left before the half-open probe *)
-  }
-
-  let create ?jitter ?(threshold = 3) () =
-    if threshold < 1 then invalid_arg "Breaker.create: threshold must be >= 1";
-    {
-      threshold;
-      jitter;
-      failures = 0;
-      state = Closed;
-      opens = 0;
-      cooldown = 0;
-    }
-
-  let state t = t.state
-
-  let trip t =
-    t.state <- Open;
-    t.opens <- t.opens + 1;
-    t.cooldown <- backoff_yields ?jitter:t.jitter ~attempt:t.opens ();
-    if Trace.Recorder.on () then
-      Trace.Recorder.instant ~cat:"resilience"
-        ~args:
-          [
-            ("opens", string_of_int t.opens);
-            ("cooldown", string_of_int t.cooldown);
-          ]
-        "breaker_open"
-
-  let record_failure t =
-    match t.state with
-    | Closed ->
-        t.failures <- t.failures + 1;
-        if t.failures >= t.threshold then trip t
-    | Half_open -> trip t (* the probe failed: re-open, longer cooldown *)
-    | Open -> ()
-
-  let record_success t =
-    t.failures <- 0;
-    t.opens <- 0;
-    t.state <- Closed
-
-  (* Gate one attempt. Closed and Half_open let the call through
-     immediately; Open spends the cooldown via [on_wait] first and
-     transitions to Half_open — the attempt the caller is about to make
-     is the probe. *)
-  let acquire ?(on_wait = fun ~yields -> yield_n yields) t =
-    match t.state with
-    | Closed | Half_open -> ()
-    | Open ->
-        on_wait ~yields:t.cooldown;
-        t.state <- Half_open
-
-  (* Run [f] through the breaker: wait out an open circuit, make the
-     attempt, record the outcome. [failure] classifies exceptions that
-     count against the circuit (others propagate without tripping
-     it). *)
-  let call ?on_wait ~failure t f =
-    acquire ?on_wait t;
-    match f () with
-    | v ->
-        record_success t;
-        v
-    | exception e when failure e ->
-        record_failure t;
-        raise e
-end
 
 (* Checkpoint/restore of application buffers. Snapshots are raw byte
    copies of simulated memory — like writing to stable storage, they

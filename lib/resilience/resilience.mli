@@ -1,6 +1,6 @@
 (** Application-level resilience building blocks: bounded retry with
-    deterministic backoff, bounded waiting, and checkpoint/restore of
-    application buffers.
+    deterministic backoff and checkpoint/restore of application
+    buffers.
 
     Deterministic by construction: "time" is scheduler progress
     (cooperative yields), never wall-clock time, so recovery paths
@@ -37,49 +37,6 @@ val with_retries :
     out-of-simulation callers (the cusand client) map the same yield
     counts onto wall-clock sleeps. Non-retryable exceptions propagate;
     @raise Retries_exhausted when the budget is spent. *)
-
-val await : ?label:string -> ?budget:int -> (unit -> bool) -> bool
-(** Poll the predicate for at most [budget] (default 1000) yields;
-    returns whether it became true. A bounded alternative to blocking
-    on a condition that may never be signalled. *)
-
-(** Client-side circuit breaker: gates whether an attempt should be
-    made at all, where {!with_retries} only decides how long to wait
-    between attempts. After [threshold] consecutive failures the
-    circuit opens; calls then wait out a cooldown and exactly one
-    half-open probe is let through — success closes the circuit,
-    failure re-opens it with a doubled (capped) cooldown from the
-    {!backoff_yields} ladder. All timings are deterministic yield
-    counts (optionally Prng-jittered), spent through the caller's
-    [on_wait] medium. *)
-module Breaker : sig
-  type state = Closed | Open | Half_open
-  type t
-
-  val create : ?jitter:Faultsim.Prng.t -> ?threshold:int -> unit -> t
-  (** [threshold] (default 3, ≥ 1) consecutive failures open the
-      circuit. *)
-
-  val state : t -> state
-
-  val record_failure : t -> unit
-  (** Count one failure: the [threshold]-th consecutive failure while
-      closed — or any failed half-open probe — opens the circuit. *)
-
-  val record_success : t -> unit
-  (** Reset to closed with a clean failure count and cooldown ladder. *)
-
-  val acquire : ?on_wait:(yields:int -> unit) -> t -> unit
-  (** Gate one attempt: closed/half-open proceed immediately; an open
-      circuit spends its cooldown via [on_wait] (default: cooperative
-      yields) and transitions to half-open, making the caller's next
-      attempt the probe. *)
-
-  val call : ?on_wait:(yields:int -> unit) -> failure:(exn -> bool) -> t -> (unit -> 'a) -> 'a
-  (** [acquire], run the thunk, record the outcome. Exceptions
-      [failure] accepts count against the circuit and re-raise; others
-      propagate without tripping it. *)
-end
 
 (** Checkpoint/restore of application buffers, keyed by label. Raw byte
     snapshots of simulated memory — like stable storage, invisible to

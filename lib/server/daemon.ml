@@ -23,22 +23,9 @@
      committed verdict survives [kill -9]; restart replays the valid
      journal prefix back into the cache and truncates any torn tail.
      Correctness rests on engine determinism (crashes are never
-     cached, and replayed duplicates collapse by digest).
-
-   - Elastic worker pool: the accept loop doubles as a load controller.
-     When admission depth outruns the pool it grows workers towards
-     [workers_max] immediately; when the pool idles for
-     [scale_down_ticks] consecutive ticks it retires one worker at a
-     time towards [workers_min]. Shrinks are cooperative — a worker
-     retires only at a task boundary ({!Pool.resize}), so resizing
-     never changes a verdict. [Resize] frames drive the same path,
-     clamped to the same window.
-
-   - Live progress streaming: every worker arms its flight recorder and
-     taps it into {!Stream}, so a [Subscribe] connection tails a
-     running job's events as they happen. Publishing never blocks the
-     job: slow subscribers are dropped with an explicit [lagged]
-     frame.
+     cached, and replayed duplicates collapse by digest), so jobs run
+     with the flight recorder off, exactly as the batch tools run them:
+     an armed recorder would put wall-clock lines into post-mortems.
 
    - Graceful drain: [request_drain] (SIGTERM in bin/cusand) stops
      admission; in-flight jobs get [drain_timeout_s] of wall clock to
@@ -54,19 +41,13 @@ module Mjson = Reporting.Mjson
 
 type cfg = {
   socket_path : string;
-  workers : int;  (* initial pool size, clamped into the min/max window *)
-  workers_min : int;
-  workers_max : int;
+  workers : int;  (* worker domains *)
   queue_max : int;  (* high-water mark for in-flight jobs *)
   watchdog : int;  (* scheduler step budget per job *)
   cache_cap : int;  (* max cached results; 0 disables the cache *)
   drain_timeout_s : float;
   state_dir : string option;  (* durable journal directory; None = RAM only *)
   compact_every : int;  (* journal appends between compactions *)
-  scale_up_depth : int;  (* grow when in-flight > workers * this *)
-  scale_down_ticks : int;  (* idle ticks of hysteresis before a shrink *)
-  sub_queue : int;  (* per-subscriber frame queue bound *)
-  trace : bool;  (* arm the accept loop's recorder for daemon instants *)
   verbose : bool;
 }
 
@@ -74,20 +55,12 @@ let default_cfg ~socket_path =
   {
     socket_path;
     workers = 2;
-    (* min = max = workers: elasticity is opt-in — the controller only
-       acts when the operator opens a window around the initial size. *)
-    workers_min = 2;
-    workers_max = 2;
     queue_max = 8;
     watchdog = Engine.default_watchdog;
     cache_cap = 1024;
     drain_timeout_s = 30.;
     state_dir = None;
     compact_every = 256;
-    scale_up_depth = 2;
-    scale_down_ticks = 25;
-    sub_queue = 512;
-    trace = false;
     verbose = false;
   }
 
@@ -100,8 +73,6 @@ type stats = {
   mutable client_errors : int;  (* error replies: bad frames, bad jobs *)
   mutable drain_cancelled : int;  (* jobs abandoned at drain deadline *)
   mutable peak_in_flight : int;
-  mutable resizes_up : int;  (* pool growth events (admin or load) *)
-  mutable resizes_down : int;
   mutable replayed : int;  (* cache entries recovered from the journal *)
   mutable journal_appends : int;
   mutable compactions : int;
@@ -121,8 +92,6 @@ let stats_json (s : stats) : Mjson.t =
       ("client_errors", Mjson.Int s.client_errors);
       ("drain_cancelled", Mjson.Int s.drain_cancelled);
       ("peak_in_flight", Mjson.Int s.peak_in_flight);
-      ("resizes_up", Mjson.Int s.resizes_up);
-      ("resizes_down", Mjson.Int s.resizes_down);
       ("replayed", Mjson.Int s.replayed);
       ("journal_appends", Mjson.Int s.journal_appends);
       ("compactions", Mjson.Int s.compactions);
@@ -140,7 +109,7 @@ type inflight = {
   job : Protocol.job;
   digest : string;
   mutable replied : bool;  (* reply ownership: flipped exactly once *)
-  mutable handle : unit Pool.handle option;
+  mutable handle : Pool.handle option;
 }
 
 type t = {
@@ -153,26 +122,18 @@ type t = {
   mutable in_flight : int;
   cache : (string, Mjson.t) Hashtbl.t;
   journal : Journal.t option;
-  subs : Stream.t;
   stats : stats;
-  mutable idle_ticks : int;  (* accept-loop only: shrink hysteresis *)
   drain : bool Atomic.t;
 }
 
 let create cfg =
-  if cfg.workers_min < 1 then
-    invalid_arg "Daemon.create: workers_min must be >= 1";
-  if cfg.workers_max < cfg.workers_min then
-    invalid_arg "Daemon.create: workers_max must be >= workers_min";
+  if cfg.workers < 1 then invalid_arg "Daemon.create: workers must be >= 1";
   if cfg.queue_max < 1 then invalid_arg "Daemon.create: queue_max must be >= 1";
   if cfg.compact_every < 1 then
     invalid_arg "Daemon.create: compact_every must be >= 1";
-  let workers = max cfg.workers_min (min cfg.workers_max cfg.workers) in
   (* A client closing mid-reply must cost the daemon a Unix_error to
      catch, never a fatal SIGPIPE. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  if cfg.trace && not (Trace.Recorder.enabled_here ()) then
-    Trace.Recorder.enable ();
   let stats =
     {
       served = 0;
@@ -183,8 +144,6 @@ let create cfg =
       client_errors = 0;
       drain_cancelled = 0;
       peak_in_flight = 0;
-      resizes_up = 0;
-      resizes_down = 0;
       replayed = 0;
       journal_appends = 0;
       compactions = 0;
@@ -214,16 +173,14 @@ let create cfg =
   {
     cfg;
     listen;
-    pool = Pool.create ~workers;
+    pool = Pool.create ~workers:cfg.workers;
     m = Mutex.create ();
     jobs = Hashtbl.create 64;
     next_ticket = 0;
     in_flight = 0;
     cache;
     journal;
-    subs = Stream.create ~max_queue:cfg.sub_queue ();
     stats;
-    idle_ticks = 0;
     drain = Atomic.make false;
   }
 
@@ -250,45 +207,14 @@ let result_stalled (j : Mjson.t) =
   || Mjson.member "stalled" j |> Fun.flip Option.bind Mjson.to_bool
      = Some true
 
-(* --- elastic pool --------------------------------------------------------- *)
-
-(* The single resize path: admin frames and the load controller both
-   land here, so clamping, accounting, the trace instant and the
-   hysteresis reset cannot drift apart. *)
-let apply_resize t ~reason target =
-  let target = max t.cfg.workers_min (min t.cfg.workers_max target) in
-  let from_ = Pool.resize t.pool target in
-  if target <> from_ then begin
-    Mutex.lock t.m;
-    if target > from_ then t.stats.resizes_up <- t.stats.resizes_up + 1
-    else t.stats.resizes_down <- t.stats.resizes_down + 1;
-    Mutex.unlock t.m;
-    t.idle_ticks <- 0;
-    Trace.Recorder.instant ~cat:"daemon"
-      ~args:
-        [
-          ("from", string_of_int from_);
-          ("to", string_of_int target);
-          ("reason", reason);
-        ]
-      "pool_resized";
-    log t "pool resized %d -> %d (%s)" from_ target reason
-  end;
-  from_
-
 (* --- the worker side ----------------------------------------------------- *)
 
 (* Runs on a pool domain. Whatever happens — clean result, client
    mistake, wedge (already a verdict thanks to the watchdog), or an
-   exception — the slot is recycled and at most one reply is written.
-   The worker's flight recorder is always armed and tapped into the
-   stream registry, so subscribers can tail the job live. *)
+   exception — the slot is recycled and at most one reply is written. *)
 let run_one t (ticket : int) (inf : inflight) ~cancelled =
   if cancelled () then ()
   else begin
-    if not (Trace.Recorder.enabled_here ()) then Trace.Recorder.enable ();
-    Trace.Recorder.set_sink (fun ev ->
-        Stream.publish t.subs ~schema:Protocol.schema ~digest:inf.digest ev);
     let t0 = Unix.gettimeofday () in
     let outcome =
       match Engine.run_job ~watchdog:t.cfg.watchdog inf.job with
@@ -296,10 +222,9 @@ let run_one t (ticket : int) (inf : inflight) ~cancelled =
       | Error msg -> `Client_error msg
       | exception e -> `Crash (e, Printexc.get_backtrace ())
     in
-    Trace.Recorder.clear_sink ();
     let elapsed_s = Unix.gettimeofday () -. t0 in
     Mutex.lock t.m;
-    let reply, status =
+    let reply =
       match outcome with
       | `Ok result ->
           t.stats.served <- t.stats.served + 1;
@@ -324,18 +249,16 @@ let run_one t (ticket : int) (inf : inflight) ~cancelled =
                 with e ->
                   log t "journal append failed: %s" (Printexc.to_string e))
           end;
-          ( Protocol.ok_reply ~job:inf.digest ~elapsed_s result,
-            if stalled then "stalled" else "ok" )
+          Protocol.ok_reply ~job:inf.digest ~elapsed_s result
       | `Client_error msg ->
           t.stats.client_errors <- t.stats.client_errors + 1;
-          (Protocol.error_reply msg, "error")
+          Protocol.error_reply msg
       | `Crash (e, bt) ->
           t.stats.crashed <- t.stats.crashed + 1;
-          ( Protocol.crashed_reply ~job:inf.digest ~error:(Printexc.to_string e)
-              ~backtrace:
-                (String.split_on_char '\n' bt
-                |> List.filter (fun l -> String.trim l <> "")),
-            "crashed" )
+          Protocol.crashed_reply ~job:inf.digest ~error:(Printexc.to_string e)
+            ~backtrace:
+              (String.split_on_char '\n' bt
+              |> List.filter (fun l -> String.trim l <> ""))
     in
     let owns = not inf.replied in
     if owns then begin
@@ -348,7 +271,6 @@ let run_one t (ticket : int) (inf : inflight) ~cancelled =
       write_quietly inf.fd reply;
       close_quietly inf.fd
     end;
-    Stream.finish t.subs ~schema:Protocol.schema ~digest:inf.digest ~status;
     (match outcome with
     | `Crash (e, _) ->
         log t "job %s reaped: %s (worker slot recycled)" inf.digest
@@ -371,12 +293,8 @@ let health_json t =
       ("in_flight", Mjson.Int in_flight);
       ("high_water", Mjson.Int t.cfg.queue_max);
       ("workers", Mjson.Int (Pool.size t.pool));
-      ("workers_alive", Mjson.Int (Pool.alive t.pool));
-      ("workers_min", Mjson.Int t.cfg.workers_min);
-      ("workers_max", Mjson.Int t.cfg.workers_max);
       ("cached", Mjson.Int cached);
       ("durable", Mjson.Bool (t.journal <> None));
-      ("subscribers", Mjson.Int (Stream.subscriber_count t.subs));
       ("draining", Mjson.Bool (draining t));
     ]
 
@@ -403,8 +321,6 @@ let full_stats_json t =
       ("workers", Mjson.Int (Pool.size t.pool));
       ("high_water", Mjson.Int t.cfg.queue_max);
       ("journal", journal_json);
-      ("subscribers_served", Mjson.Int (Stream.served_count t.subs));
-      ("subscribers_lagged", Mjson.Int (Stream.lagged_count t.subs));
       ("stats", stats_json t.stats);
     ]
 
@@ -426,7 +342,7 @@ let submit t fd (job : Protocol.job) =
         Mutex.unlock t.m;
         (* Backoff hint scales with the overshoot past the high-water
            mark plus the work queued behind the running workers. *)
-        let queue_len = max 0 (in_flight - Pool.alive t.pool) in
+        let queue_len = max 0 (in_flight - Pool.size t.pool) in
         let retry_after =
           Protocol.retry_after_hint ~in_flight ~high_water:t.cfg.queue_max
             ~queue_len
@@ -457,41 +373,9 @@ let submit t fd (job : Protocol.job) =
         log t "admitted %s as %s" (Protocol.job_describe job) digest
       end
 
-(* Attach a connection to a job's live event stream. Registration
-   happens under the daemon lock: if the job is still in the table its
-   worker has not yet run its [Stream.finish], so the subscriber is
-   guaranteed a terminal frame; if it already resolved, the cached
-   verdict answers as an immediate [end]. *)
-let subscribe_conn t fd digest =
-  Mutex.lock t.m;
-  let running =
-    Hashtbl.fold (fun _ inf acc -> acc || inf.digest = digest) t.jobs false
-  in
-  let cached = Hashtbl.mem t.cache digest in
-  if running then begin
-    Stream.subscribe t.subs ~schema:Protocol.schema ~digest fd;
-    Mutex.unlock t.m;
-    log t "subscriber attached to %s" digest
-  end
-  else begin
-    Mutex.unlock t.m;
-    if cached then
-      write_quietly fd (Protocol.stream_end_reply ~job:digest ~status:"cached")
-    else begin
-      Mutex.lock t.m;
-      t.stats.client_errors <- t.stats.client_errors + 1;
-      Mutex.unlock t.m;
-      write_quietly fd
-        (Protocol.error_reply
-           (Printf.sprintf "no queued or running job %s" digest))
-    end;
-    close_quietly fd
-  end
-
-(* One connection, one frame, one reply (a subscribe hands its socket
-   to the stream registry instead). Nothing a peer sends — torn frame,
-   oversized frame, hostile bytes, instant close — may raise out of
-   here; a protocol failure costs an error reply, never the accept
+(* One connection, one frame, one reply. Nothing a peer sends — torn
+   frame, oversized frame, hostile bytes, instant close — may raise out
+   of here; a protocol failure costs an error reply, never the accept
    loop. *)
 let handle_conn t fd =
   try
@@ -533,13 +417,6 @@ let handle_conn t fd =
                  ]);
             close_quietly fd;
             request_drain t
-        | Ok (Protocol.Resize n) ->
-            let target = max t.cfg.workers_min (min t.cfg.workers_max n) in
-            let from_ = apply_resize t ~reason:"admin" target in
-            write_quietly fd
-              (Protocol.resized_reply ~requested:n ~from_ ~to_:target);
-            close_quietly fd
-        | Ok (Protocol.Subscribe { digest }) -> subscribe_conn t fd digest
         | Ok (Protocol.Submit job) ->
             if draining t then begin
               write_quietly fd (Protocol.error_reply "draining: admission closed");
@@ -576,39 +453,6 @@ let maybe_compact t =
       Mutex.unlock t.m
   | _ -> ()
 
-(* Accept-loop tick: flush subscriber backlogs, compact the journal
-   when due, and run the load controller. Scale-up is immediate (work
-   is waiting); scale-down needs [scale_down_ticks] consecutive
-   under-loaded ticks — the hysteresis that keeps a bursty client from
-   thrashing the pool. *)
-let tick t =
-  Stream.flush t.subs;
-  maybe_compact t;
-  if t.cfg.workers_min < t.cfg.workers_max then begin
-    Mutex.lock t.m;
-    let depth = t.in_flight in
-    Mutex.unlock t.m;
-    let cur = Pool.size t.pool in
-    if depth > cur * t.cfg.scale_up_depth && cur < t.cfg.workers_max then
-      (* Enough workers to bring depth per worker back under the
-         threshold, in one step, capped at the window. *)
-      let want =
-        min t.cfg.workers_max
-          (max (cur + 1)
-             ((depth + t.cfg.scale_up_depth - 1) / t.cfg.scale_up_depth))
-      in
-      ignore (apply_resize t ~reason:"load" want)
-    else if cur > t.cfg.workers_min && depth < cur then begin
-      t.idle_ticks <- t.idle_ticks + 1;
-      if t.idle_ticks >= t.cfg.scale_down_ticks then
-        (* One worker per decision, and apply_resize resets the idle
-           counter — so a shrink to the floor takes several quiet
-           periods, never one cliff. *)
-        ignore (apply_resize t ~reason:"load" (cur - 1))
-    end
-    else t.idle_ticks <- 0
-  end
-
 (* Drain: admission is already closed (the listener goes down first);
    in-flight jobs get the wall-clock budget to finish, stragglers are
    cooperatively cancelled and their clients told. Thanks to the
@@ -622,7 +466,6 @@ let drain_now t =
     Mutex.lock t.m;
     let left = t.in_flight in
     Mutex.unlock t.m;
-    Stream.flush t.subs;
     if left > 0 && Unix.gettimeofday () < deadline then begin
       Unix.sleepf 0.01;
       wait ()
@@ -652,7 +495,6 @@ let drain_now t =
       end)
     stragglers;
   Mutex.unlock t.m;
-  Stream.close_all t.subs ~schema:Protocol.schema ~status:"cancelled";
   Pool.shutdown t.pool;
   (* Park the committed state in a fresh snapshot so the next boot
      replays from one clean file. A kill -9 skips this by definition —
@@ -671,11 +513,8 @@ let drain_now t =
    stats. EINTR — the signal's footprint on a blocking select — is just
    another reason to re-check the drain flag. *)
 let serve t =
-  log t
-    "listening on %s (%d workers in [%d, %d], high-water %d, watchdog %d \
-     steps%s)"
-    t.cfg.socket_path (Pool.size t.pool) t.cfg.workers_min t.cfg.workers_max
-    t.cfg.queue_max t.cfg.watchdog
+  log t "listening on %s (%d workers, high-water %d, watchdog %d steps%s)"
+    t.cfg.socket_path (Pool.size t.pool) t.cfg.queue_max t.cfg.watchdog
     (match t.cfg.state_dir with
     | None -> ""
     | Some d -> Printf.sprintf ", state %s" d);
@@ -684,7 +523,7 @@ let serve t =
   let rec loop () =
     if draining t then ()
     else begin
-      tick t;
+      maybe_compact t;
       match Unix.select [ t.listen ] [] [] 0.2 with
       | [], _, _ -> loop ()
       | _ :: _, _, _ ->

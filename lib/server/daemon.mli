@@ -1,6 +1,6 @@
-(** The cusand daemon core: a crash-isolated, backpressured, durable,
-    elastic analysis service over a Unix-domain socket, sharding jobs
-    across a {!Pool.t} of worker domains.
+(** The cusand daemon core: a crash-isolated, backpressured, durable
+    analysis service over a Unix-domain socket, sharding jobs across a
+    {!Pool.t} of worker domains.
 
     Robustness contract:
     - a job that raises is reaped into a post-mortem reply and its
@@ -15,17 +15,9 @@
       (sound because the engine is deterministic) and, with
       [state_dir] set, written through to the crash-safe {!Journal}
       before the reply leaves — a verdict a client has seen survives
-      [kill -9] and is replayed into the cache on the next boot;
-    - the worker pool is elastic inside
-      [[workers_min, workers_max]]: the accept loop grows it when
-      admission depth outruns the workers and shrinks it (one worker
-      per [scale_down_ticks] quiet ticks of hysteresis) when idle;
-      [Resize] frames drive the same clamped path. Shrinks retire
-      workers only at task boundaries, so resizing never changes a
-      verdict;
-    - every worker taps its flight recorder into {!Stream}, so
-      [Subscribe] connections tail a running job's events live without
-      ever blocking the job;
+      [kill -9] and is replayed into the cache on the next boot. Jobs
+      run with the flight recorder off, as the batch tools run them,
+      so a served verdict is byte-identical to the batch one;
     - {!request_drain} (wired to SIGTERM in bin/cusand) stops
       admission, gives in-flight jobs [drain_timeout_s] to finish,
       cancels and answers stragglers (recording them in
@@ -33,10 +25,7 @@
 
 type cfg = {
   socket_path : string;
-  workers : int;
-      (** initial pool size, clamped into [[workers_min, workers_max]] *)
-  workers_min : int;
-  workers_max : int;
+  workers : int;  (** worker domains *)
   queue_max : int;  (** high-water mark for in-flight jobs *)
   watchdog : int;  (** scheduler step budget per job *)
   cache_cap : int;  (** max cached results; 0 disables the cache *)
@@ -44,20 +33,12 @@ type cfg = {
   state_dir : string option;
       (** durable journal directory; [None] keeps the cache in RAM *)
   compact_every : int;  (** journal appends between compactions *)
-  scale_up_depth : int;
-      (** load controller grows the pool when in-flight depth exceeds
-          [workers * scale_up_depth] *)
-  scale_down_ticks : int;
-      (** consecutive under-loaded accept-loop ticks before the
-          controller retires one worker — the shrink hysteresis *)
-  sub_queue : int;  (** per-subscriber pending-frame bound (see {!Stream}) *)
-  trace : bool;  (** arm the accept loop's recorder for daemon instants *)
   verbose : bool;
 }
 
 val default_cfg : socket_path:string -> cfg
-(** Defaults keep elasticity off ([workers_min = workers_max =
-    workers]) and the cache in RAM ([state_dir = None]). *)
+(** Defaults: 2 workers, high-water 8, and the cache in RAM
+    ([state_dir = None]). *)
 
 type stats = {
   mutable served : int;  (** ok replies, cache hits included *)
@@ -68,8 +49,6 @@ type stats = {
   mutable client_errors : int;  (** error replies: bad frames, bad jobs *)
   mutable drain_cancelled : int;  (** jobs abandoned at the drain deadline *)
   mutable peak_in_flight : int;
-  mutable resizes_up : int;  (** pool growth events, admin and load alike *)
-  mutable resizes_down : int;
   mutable replayed : int;  (** cache entries recovered from the journal *)
   mutable journal_appends : int;
   mutable compactions : int;

@@ -266,93 +266,78 @@ let suggest ids =
 
 let run_job ?(watchdog = default_watchdog) (job : Protocol.job) :
     (Mjson.t, string) result =
-  if Trace.Recorder.on () then
-    Trace.Recorder.instant ~cat:"cusand"
-      ~args:[ ("job", Protocol.job_describe job) ]
-      "job_start";
-  let result =
-    match job with
-    | Protocol.Boom -> raise Chaos_drill
-    | Protocol.Lint { target } -> (
-        match List.find_opt (fun t -> t.id = target) (lint_targets ()) with
-        | None ->
-            Error
-              (Printf.sprintf "no such lint target %S; known: %s" target
-                 (suggest (lint_target_ids ())))
-        | Some t -> Ok (lint_json t))
-    | Protocol.Soak { case; seed; faults } -> (
-        match
-          List.find_opt
-            (fun (c : Testsuite.Cases.case) -> c.Testsuite.Cases.name = case)
-            (Testsuite.Cases.all ())
-        with
-        | None ->
-            Error
-              (Printf.sprintf "no such testsuite case %S; known: %s" case
-                 (suggest (soak_case_ids ())))
-        | Some c -> (
-            match
-              match faults with
-              | None -> Ok None
-              | Some spec -> (
-                  match Faultsim.Plan.parse_spec spec with
-                  | Error msg -> Error (Printf.sprintf "bad fault spec: %s" msg)
-                  | Ok (spec_seed, plan) ->
-                      (* the job's seed wins over an embedded seed=N,
-                         like --seed does in cutests *)
-                      let seed =
-                        if seed <> 0 then seed
-                        else Option.value spec_seed ~default:0
-                      in
-                      Ok (Some (seed, plan)))
-            with
-            | Error e -> Error e
-            | Ok faults_arg ->
-                let v =
-                  Testsuite.Runner.run_case ~watchdog ?faults:faults_arg c
-                in
-                Ok (soak_json ~case ~seed ~faults ~v)))
-    | Protocol.Bench { app; flavor } -> (
-        match (bench_app_fn app, Harness.Flavor.of_string flavor) with
-        | None, _ ->
-            Error
-              (Printf.sprintf "no such bench app %S; known: %s" app
-                 (suggest bench_apps))
-        | _, None -> Error (Printf.sprintf "no such flavor %S" flavor)
-        | Some f, Some fl ->
-            let res = Harness.Run.run ~nranks:2 ~watchdog ~flavor:fl f in
-            Ok (bench_json ~app ~flavor ~res))
-    | Protocol.Spin { steps } ->
-        (* Wedge drill: a single rank spins on the cooperative scheduler
-           until the step budget fires. The daemon's watchdog still caps
-           the budget, so even a hostile spin request is bounded. *)
-        let budget = min steps watchdog in
-        let res =
-          Harness.Run.run ~nranks:1 ~watchdog:budget
-            ~flavor:Harness.Flavor.Vanilla (fun _env ->
-              while true do
-                Sched.Scheduler.yield ()
-              done)
-        in
-        Ok
-          (Mjson.Obj
-             [
-               ("kind", Mjson.Str "spin");
-               ("steps", Mjson.Int steps);
-               ("budget", Mjson.Int budget);
-               ("outcome",
-                Mjson.Str
-                  (if res.Harness.Run.stall <> None then "stalled"
-                   else "completed"));
-               ("stall", stall_json res.Harness.Run.stall);
-             ])
-  in
-  if Trace.Recorder.on () then
-    Trace.Recorder.instant ~cat:"cusand"
-      ~args:
-        [
-          ("job", Protocol.job_describe job);
-          ("ok", match result with Ok _ -> "true" | Error _ -> "false");
-        ]
-      "job_done";
-  result
+  match job with
+  | Protocol.Boom -> raise Chaos_drill
+  | Protocol.Lint { target } -> (
+      match List.find_opt (fun t -> t.id = target) (lint_targets ()) with
+      | None ->
+          Error
+            (Printf.sprintf "no such lint target %S; known: %s" target
+               (suggest (lint_target_ids ())))
+      | Some t -> Ok (lint_json t))
+  | Protocol.Soak { case; seed; faults } -> (
+      match
+        List.find_opt
+          (fun (c : Testsuite.Cases.case) -> c.Testsuite.Cases.name = case)
+          (Testsuite.Cases.all ())
+      with
+      | None ->
+          Error
+            (Printf.sprintf "no such testsuite case %S; known: %s" case
+               (suggest (soak_case_ids ())))
+      | Some c -> (
+          match
+            match faults with
+            | None -> Ok None
+            | Some spec -> (
+                match Faultsim.Plan.parse_spec spec with
+                | Error msg -> Error (Printf.sprintf "bad fault spec: %s" msg)
+                | Ok (spec_seed, plan) ->
+                    (* the job's seed wins over an embedded seed=N,
+                       like --seed does in cutests *)
+                    let seed =
+                      if seed <> 0 then seed
+                      else Option.value spec_seed ~default:0
+                    in
+                    Ok (Some (seed, plan)))
+          with
+          | Error e -> Error e
+          | Ok faults_arg ->
+              let v =
+                Testsuite.Runner.run_case ~watchdog ?faults:faults_arg c
+              in
+              Ok (soak_json ~case ~seed ~faults ~v)))
+  | Protocol.Bench { app; flavor } -> (
+      match (bench_app_fn app, Harness.Flavor.of_string flavor) with
+      | None, _ ->
+          Error
+            (Printf.sprintf "no such bench app %S; known: %s" app
+               (suggest bench_apps))
+      | _, None -> Error (Printf.sprintf "no such flavor %S" flavor)
+      | Some f, Some fl ->
+          let res = Harness.Run.run ~nranks:2 ~watchdog ~flavor:fl f in
+          Ok (bench_json ~app ~flavor ~res))
+  | Protocol.Spin { steps } ->
+      (* Wedge drill: a single rank spins on the cooperative scheduler
+         until the step budget fires. The daemon's watchdog still caps
+         the budget, so even a hostile spin request is bounded. *)
+      let budget = min steps watchdog in
+      let res =
+        Harness.Run.run ~nranks:1 ~watchdog:budget
+          ~flavor:Harness.Flavor.Vanilla (fun _env ->
+            while true do
+              Sched.Scheduler.yield ()
+            done)
+      in
+      Ok
+        (Mjson.Obj
+           [
+             ("kind", Mjson.Str "spin");
+             ("steps", Mjson.Int steps);
+             ("budget", Mjson.Int budget);
+             ("outcome",
+              Mjson.Str
+                (if res.Harness.Run.stall <> None then "stalled"
+                 else "completed"));
+             ("stall", stall_json res.Harness.Run.stall);
+           ])

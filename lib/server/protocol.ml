@@ -1,6 +1,6 @@
 (* cusand wire protocol: newline-delimited JSON frames over a
    Unix-domain socket, with the Reporting.Mjson schema as the payload
-   format ("cusand/1"). One request per connection: the client writes a
+   format ("cusand/2"). One request per connection: the client writes a
    single frame, the daemon answers with a single frame when the job
    resolves (immediately for health/stats/cache hits, after execution
    otherwise) and both sides close.
@@ -15,8 +15,8 @@ module Mjson = Reporting.Mjson
 
 let schema = "cusand/2"
 
-(* Requests from v1 clients are still understood (v2 adds frames, it
-   does not change v1's); replies always carry the current schema. *)
+(* Requests from v1 clients are still understood (v1 and v2 share every
+   request frame); replies always carry the current schema. *)
 let accepted_schemas = [ "cusand/1"; schema ]
 
 (* A request frame may not exceed this; the daemon answers anything
@@ -41,13 +41,6 @@ type request =
   | Health
   | Stats
   | Shutdown
-  | Resize of int
-      (* admin: set the worker-pool target (clamped to the daemon's
-         --workers-min/--workers-max window) *)
-  | Subscribe of { digest : string }
-      (* attach this connection to a queued/running job's live event
-         stream; the reply is a stream of subscribed/event/end frames,
-         not a single frame *)
 
 (* Content address of a job: the canonical key is what makes the result
    cache correct — two requests with the same key are the same
@@ -91,9 +84,6 @@ let request_to_json (r : request) : Mjson.t =
     | Health -> [ ("op", Str "health") ]
     | Stats -> [ ("op", Str "stats") ]
     | Shutdown -> [ ("op", Str "shutdown") ]
-    | Resize n -> [ ("op", Str "resize"); ("workers", Int n) ]
-    | Subscribe { digest } ->
-        [ ("op", Str "subscribe"); ("job", Str digest) ]
   in
   Obj (("schema", Str schema) :: fields)
 
@@ -135,15 +125,6 @@ let request_of_json (j : Mjson.t) : (request, string) result =
       | Some "health" -> Ok Health
       | Some "stats" -> Ok Stats
       | Some "shutdown" -> Ok Shutdown
-      | Some "resize" -> (
-          match int "workers" with
-          | Some n when n > 0 -> Ok (Resize n)
-          | Some _ -> Error "resize: \"workers\" must be positive"
-          | None -> Error "resize: missing \"workers\"")
-      | Some "subscribe" -> (
-          match str "job" with
-          | Some digest -> Ok (Subscribe { digest })
-          | None -> Error "subscribe: missing \"job\"")
       | Some op -> Error (Printf.sprintf "unknown op %S" op))
 
 let parse_request (line : string) : (request, string) result =
@@ -203,38 +184,6 @@ let busy_reply ~retry_after ~in_flight ~high_water : Mjson.t =
       ("retry_after", Mjson.Int retry_after);
       ("in_flight", Mjson.Int in_flight);
       ("high_water", Mjson.Int high_water);
-    ]
-
-(* Stream frames: the subscribe conversation is the one place the
-   protocol is not one-frame-each-way — after the [subscribed]
-   acknowledgement the daemon pushes [event] frames as the job
-   produces them, then exactly one terminal [lagged] or [end] frame. *)
-let stream_reply ~kind ~job fields : Mjson.t =
-  Mjson.Obj
-    ([
-       ("schema", Mjson.Str schema);
-       ("type", Mjson.Str kind);
-       ("job", Mjson.Str job);
-     ]
-    @ fields)
-
-let stream_end_reply ~job ~status : Mjson.t =
-  stream_reply ~kind:"end" ~job [ ("status", Mjson.Str status) ]
-
-(* Admin resize acknowledgement: what was asked, what the min/max
-   window clamped it to, and what it replaced. *)
-let resized_reply ~requested ~from_ ~to_ : Mjson.t =
-  Mjson.Obj
-    [
-      ("schema", Mjson.Str schema);
-      ("status", Mjson.Str "ok");
-      ("resized",
-       Mjson.Obj
-         [
-           ("requested", Mjson.Int requested);
-           ("from", Mjson.Int from_);
-           ("to", Mjson.Int to_);
-         ]);
     ]
 
 let error_reply msg : Mjson.t =

@@ -1,8 +1,6 @@
 (** cusand wire protocol: newline-delimited {!Reporting.Mjson} frames
     over a Unix-domain socket (schema ["cusand/2"]; v1 requests are
-    still accepted), one request per connection — except [subscribe],
-    which turns the connection into a server-to-client stream of
-    [subscribed]/[event]/[lagged]/[end] frames (see {!Stream}). Frames
+    still accepted), one request and one reply per connection. Frames
     are size-bounded and torn/hostile input decodes to an explicit
     error — the accept loop never sees an exception from this layer. *)
 
@@ -39,12 +37,6 @@ type request =
   | Health
   | Stats
   | Shutdown
-  | Resize of int
-      (** admin: set the worker-pool target, clamped to the daemon's
-          [--workers-min]/[--workers-max] window *)
-  | Subscribe of { digest : string }
-      (** tail a queued/running job's live event stream; the reply is a
-          stream of frames, not a single frame *)
 
 val job_key : job -> string
 (** Canonical content address: equal keys mean the same deterministic
@@ -81,20 +73,6 @@ val busy_reply : retry_after:int -> in_flight:int -> high_water:int -> Mjson.t
 (** Load-shed reply; [retry_after] is the {!retry_after_hint}
     deterministic backoff hint in abstract units the client folds into
     its retry schedule. *)
-
-val stream_reply : kind:string -> job:string -> (string * Mjson.t) list -> Mjson.t
-(** One frame of a subscribe stream:
-    [{"schema":..,"type":kind,"job":..}] plus [fields]. Kinds:
-    [subscribed], [event], [lagged], [end]. *)
-
-val stream_end_reply : job:string -> status:string -> Mjson.t
-(** The stream's terminal frame ([type = "end"]); also the immediate
-    answer to a subscribe for an already-cached job
-    ([status = "cached"]). *)
-
-val resized_reply : requested:int -> from_:int -> to_:int -> Mjson.t
-(** Admin resize acknowledgement: requested target, previous and new
-    (clamped) pool size. *)
 
 val error_reply : string -> Mjson.t
 

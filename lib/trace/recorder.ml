@@ -63,17 +63,6 @@ let get () = Domain.DLS.get current
 let enabled_here () = Option.is_some (get ())
 let with_rec f = match get () with None -> () | Some r -> f r
 
-(* Live tap: an optional per-domain callback invoked with every event
-   this domain's recorder retains. The daemon installs one around a job
-   so subscribed clients can tail the flight recorder; a sink that
-   raises is dropped silently (observation may never kill the probe
-   site it observes). *)
-let sink : (Event.t -> unit) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let set_sink f = Domain.DLS.set sink (Some f)
-let clear_sink () = Domain.DLS.set sink None
-
 let current_pid () = match get () with None -> -1 | Some r -> r.pid
 
 let now_us () =
@@ -118,10 +107,7 @@ let emit ?ts_us r phase ~cat ~name ~args =
     }
   in
   r.seq <- r.seq + 1;
-  Ring.add (ring_of r r.pid) e;
-  match Domain.DLS.get sink with
-  | None -> ()
-  | Some f -> ( try f e with _ -> ())
+  Ring.add (ring_of r r.pid) e
 
 (* --- probe API (each caller guards with [on]) ------------------------- *)
 

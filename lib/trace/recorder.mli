@@ -20,16 +20,6 @@ val disable : unit -> unit
 val enabled_here : unit -> bool
 (** Is a recorder enabled in this domain specifically? *)
 
-val set_sink : (Event.t -> unit) -> unit
-(** Install a live tap in this domain: every event the recorder retains
-    is also handed to the sink (after the ring write). The daemon uses
-    this to stream a running job's events to subscribed clients. A sink
-    that raises is silenced — observation may never take down the probe
-    site. Replaces any previous sink. *)
-
-val clear_sink : unit -> unit
-(** Remove this domain's sink, if any. *)
-
 (** {2 Probes} *)
 
 val instant : ?args:(string * string) list -> cat:string -> string -> unit

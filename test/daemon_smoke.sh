@@ -6,7 +6,7 @@
 #    artifact), never taking the daemon down;
 #  - the wedge resolves as a watchdog stalled verdict, not a hung
 #    worker;
-#  - a subscribe stream answers for the finished job (cusanctl watch);
+#  - the cache answers for a finished job with the same result bytes;
 #  - the daemon answers a follow-up health check after both;
 #  - SIGTERM drains gracefully: the process exits 0 and flushes its
 #    final stats JSON.
@@ -72,15 +72,16 @@ fi
 grep -q '"outcome":"stalled"' daemon-stalled.json \
   || fail "wedged job did not resolve as a stalled verdict"
 
-# 4. The subscribe stream answers: watching the finished spin yields an
-#    immediate terminal frame from the cache.
-if ! "$cusanctl" --socket "$sock" watch spin 1000000 >daemon-watch.json; then
-  fail "watch of a cached job failed"
+# 4. The cache answers for the finished spin: re-submitting it yields a
+#    cached:true reply whose result bytes equal step 3's.
+if ! "$cusanctl" --socket "$sock" spin 1000000 >daemon-cached.json; then
+  fail "re-submitted spin job failed"
 fi
-grep -q '"type":"end"' daemon-watch.json \
-  || fail "watch produced no end frame"
-grep -q '"status":"cached"' daemon-watch.json \
-  || fail "watch of a finished job did not answer from the cache"
+grep -q '"cached":true' daemon-cached.json \
+  || fail "re-submitted spin was not answered from the cache"
+result_of() { sed -e 's/.*"result"://' "$1"; }
+[ "$(result_of daemon-stalled.json)" = "$(result_of daemon-cached.json)" ] \
+  || fail "cached result bytes differ from the first reply"
 
 # 5. After a crash and a wedge, the daemon still answers.
 if ! wait_healthy daemon-health-after.json 20; then
@@ -101,6 +102,6 @@ grep -q '"event":"drained"' daemon-drain-stats.json \
 [ -S "$sock" ] && fail "socket file not removed at drain"
 
 if [ "$status" -eq 0 ]; then
-  echo "daemon_smoke: lint + crash + wedge served, watch answered, drained cleanly"
+  echo "daemon_smoke: lint + crash + wedge served, cache answered, drained cleanly"
 fi
 exit "$status"

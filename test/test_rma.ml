@@ -224,6 +224,28 @@ let origin_reuse_in_later_epoch_races () =
     ]
     (List.map (fun (rank, r) -> (rank, Tsan.Report.to_string r)) res.R.races)
 
+(* Two puts from one origin to the same target bytes in epochs n and
+   n+1: the fence between them orders them. The target may leave that
+   fence before or after the origin makes the second put, and the
+   origin may be the target itself; none of these orders may race. *)
+let back_to_back_epoch_puts_clean ~origin ~target () =
+  let app (env : R.env) =
+    let ctx = env.R.mpi in
+    let wbuf = alloc env 8 in
+    let win = Mpi.win_create ctx ~buf:wbuf ~bytes:64 in
+    let src = alloc ~tag:"src" env 8 in
+    Mpi.win_fence ctx win;
+    if ctx.Mpi.rank = origin then
+      Mpi.put ctx win ~buf:src ~count:8 ~dt:Dt.double ~target ~disp:0;
+    Mpi.win_fence ctx win;
+    if ctx.Mpi.rank = origin then
+      Mpi.put ctx win ~buf:src ~count:8 ~dt:Dt.double ~target ~disp:0;
+    Mpi.win_fence ctx win;
+    Mpi.win_free ctx win
+  in
+  let res = run app in
+  Alcotest.(check int) "fence orders the two puts" 0 (List.length res.R.races)
+
 let overlapping_puts_race () =
   let app (env : R.env) =
     let ctx = env.R.mpi in
@@ -391,6 +413,12 @@ let tests =
       origin_reuse_after_fence_clean;
     Alcotest.test_case "origin reuse in a later epoch races" `Quick
       origin_reuse_in_later_epoch_races;
+    Alcotest.test_case "back-to-back epoch puts 0->1 clean" `Quick
+      (back_to_back_epoch_puts_clean ~origin:0 ~target:1);
+    Alcotest.test_case "back-to-back epoch puts 1->0 clean" `Quick
+      (back_to_back_epoch_puts_clean ~origin:1 ~target:0);
+    Alcotest.test_case "back-to-back epoch puts 0->0 clean" `Quick
+      (back_to_back_epoch_puts_clean ~origin:0 ~target:0);
     Alcotest.test_case "overlapping puts race" `Quick overlapping_puts_race;
     Alcotest.test_case "disjoint puts clean" `Quick disjoint_puts_clean;
     Alcotest.test_case "put vs get race" `Quick put_vs_get_race;

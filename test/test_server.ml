@@ -53,8 +53,6 @@ let request_gen : P.request QCheck.Gen.t =
       return P.Health;
       return P.Stats;
       return P.Shutdown;
-      map (fun n -> P.Resize (n + 1)) small_nat;
-      map (fun digest -> P.Subscribe { digest }) string_gen;
     ]
 
 let request_print r = mstr (P.request_to_json r)
@@ -91,6 +89,11 @@ let parse_request_errors () =
     (contains ~sub:"schema" (err {|{"schema":"bogus/9","op":"health"}|}));
   Alcotest.(check bool) "unknown op named" true
     (contains ~sub:"unknown op" (err {|{"op":"frobnicate"}|}));
+  (* resize and subscribe are not part of the protocol *)
+  Alcotest.(check bool) "resize is unknown" true
+    (contains ~sub:"unknown op" (err {|{"op":"resize","workers":2}|}));
+  Alcotest.(check bool) "subscribe is unknown" true
+    (contains ~sub:"unknown op" (err {|{"op":"subscribe","job":"ab"}|}));
   Alcotest.(check bool) "missing field named" true
     (contains ~sub:"target" (err {|{"op":"lint"}|}));
   Alcotest.(check bool) "missing op named" true
@@ -302,64 +305,6 @@ let retry_after_hint_pinned () =
         (h ~in_flight:6 ~high_water:4 ~queue_len:(q + 1)))
     [ 0; 1; 2; 5; 9 ]
 
-(* --- resilience: circuit breaker ---------------------------------------- *)
-
-(* Unjittered, the cooldown ladder is the backoff_yields base: 2, 4, 8…
-   doubling per consecutive open, reset on a closing success. Every
-   transition below is pinned. *)
-let breaker_pinned_transitions () =
-  let module B = Resilience.Breaker in
-  let b = B.create ~threshold:2 () in
-  let waits = ref [] in
-  let ow ~yields = waits := !waits @ [ yields ] in
-  let st name expect =
-    Alcotest.(check bool) name true (B.state b = expect)
-  in
-  st "starts closed" B.Closed;
-  B.record_failure b;
-  st "one failure below threshold stays closed" B.Closed;
-  B.acquire ~on_wait:ow b;
-  Alcotest.(check (list int)) "closed acquire never waits" [] !waits;
-  B.record_failure b;
-  st "threshold opens" B.Open;
-  B.acquire ~on_wait:ow b;
-  st "acquire transitions to half-open" B.Half_open;
-  Alcotest.(check (list int)) "first cooldown" [ 2 ] !waits;
-  B.record_failure b;
-  st "failed probe re-opens" B.Open;
-  B.acquire ~on_wait:ow b;
-  Alcotest.(check (list int)) "second cooldown doubles" [ 2; 4 ] !waits;
-  B.record_failure b;
-  B.acquire ~on_wait:ow b;
-  Alcotest.(check (list int)) "third doubles again" [ 2; 4; 8 ] !waits;
-  B.record_success b;
-  st "successful probe closes" B.Closed;
-  (* the ladder reset with the close: a fresh trip starts at 2 again *)
-  B.record_failure b;
-  B.record_failure b;
-  B.acquire ~on_wait:ow b;
-  Alcotest.(check (list int)) "ladder reset after success" [ 2; 4; 8; 2 ] !waits
-
-let breaker_call_classifies () =
-  let module B = Resilience.Breaker in
-  let b = B.create ~threshold:1 () in
-  let ow ~yields:_ = () in
-  let failure = function Failure _ -> true | _ -> false in
-  (* an exception the classifier rejects propagates without tripping *)
-  (match B.call ~on_wait:ow ~failure b (fun () -> raise Not_found) with
-  | _ -> Alcotest.fail "expected Not_found"
-  | exception Not_found -> ());
-  Alcotest.(check bool) "non-failure exn does not trip" true
-    (B.state b = B.Closed);
-  (match B.call ~on_wait:ow ~failure b (fun () -> failwith "conn") with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure _ -> ());
-  Alcotest.(check bool) "classified failure trips" true (B.state b = B.Open);
-  (* next call waits out the cooldown, probes, and a success closes *)
-  Alcotest.(check int) "probe result" 42
-    (B.call ~on_wait:ow ~failure b (fun () -> 42));
-  Alcotest.(check bool) "success closes" true (B.state b = B.Closed)
-
 (* --- journal: crash-safe durable store ---------------------------------- *)
 
 module J = Server.Journal
@@ -563,117 +508,6 @@ let prop_journal_crash_point =
                  | Some v, Some v' -> v = v'
                  | _ -> false)
                r.J.entries))
-
-(* --- stream: live subscriber frames ------------------------------------- *)
-
-module S = Server.Stream
-
-let mk_event i =
-  {
-    Trace.Event.seq = i;
-    epoch = 0;
-    ts_us = 0.;
-    vt_us = float_of_int i;
-    pid = 0;
-    track = "t0";
-    phase = Trace.Event.Instant;
-    cat = "sched";
-    name = "task_resume";
-    args = [ ("pad", String.make 64 'x') ];
-  }
-
-(* Read every line the stream wrote to [cli] until it closes the
-   connection, pumping [flush] while the socket has nothing yet. *)
-let drain_stream ?(flush = fun () -> ()) cli =
-  Unix.set_nonblock cli;
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
-  let rec go patience =
-    if patience = 0 then Alcotest.fail "stream never closed"
-    else begin
-      flush ();
-      match Unix.read cli chunk 0 (Bytes.length chunk) with
-      | 0 -> () (* EOF: the stream finished and closed its end *)
-      | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          go patience
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          Unix.sleepf 0.002;
-          go (patience - 1)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go patience
-    end
-  in
-  go 2500;
-  String.split_on_char '\n' (Buffer.contents buf)
-  |> List.filter (fun l -> l <> "")
-  |> List.map (fun l ->
-         match Mjson.of_string l with
-         | Ok j -> j
-         | Error m -> Alcotest.failf "stream frame does not parse (%s): %S" m l)
-
-let stream_live_frames () =
-  let srv, cli = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close cli with Unix.Unix_error _ -> ())
-    (fun () ->
-      let t = S.create () in
-      S.subscribe t ~schema:P.schema ~digest:"abc" srv;
-      Alcotest.(check int) "one subscriber" 1 (S.subscriber_count t);
-      S.publish t ~schema:P.schema ~digest:"abc" (mk_event 7);
-      (* another job's events must not leak into this stream *)
-      S.publish t ~schema:P.schema ~digest:"other" (mk_event 8);
-      S.finish t ~schema:P.schema ~digest:"abc" ~status:"ok";
-      match drain_stream ~flush:(fun () -> S.flush t) cli with
-      | [ sub; ev; fin ] ->
-          Alcotest.(check (option string)) "attach frame" (Some "subscribed")
-            (member_str "type" sub);
-          Alcotest.(check (option string)) "job tagged" (Some "abc")
-            (member_str "job" sub);
-          Alcotest.(check (option string)) "event frame" (Some "event")
-            (member_str "type" ev);
-          Alcotest.(check (option int)) "event payload" (Some 7)
-            (Option.bind (Mjson.member "event" ev) (member_int "seq"));
-          Alcotest.(check (option string)) "terminal frame" (Some "end")
-            (member_str "type" fin);
-          Alcotest.(check (option string)) "status" (Some "ok")
-            (member_str "status" fin);
-          Alcotest.(check int) "subscriber closed out" 0
-            (S.subscriber_count t);
-          Alcotest.(check int) "served counted" 1 (S.served_count t)
-      | frames -> Alcotest.failf "expected 3 frames, got %d" (List.length frames))
-
-(* A subscriber that stops reading must be dropped with a [lagged]
-   frame — and must never block the publisher. *)
-let stream_lagged_dropped () =
-  let srv, cli = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close cli with Unix.Unix_error _ -> ())
-    (fun () ->
-      (* shrink the kernel's buffer so the bounded queue fills fast *)
-      (try Unix.setsockopt_int srv Unix.SO_SNDBUF 4096
-       with Unix.Unix_error _ -> ());
-      let t = S.create ~max_queue:4 () in
-      S.subscribe t ~schema:P.schema ~digest:"d" srv;
-      (* the client reads nothing; publish until the drop triggers *)
-      let i = ref 0 in
-      while S.lagged_count t = 0 && !i < 100_000 do
-        S.publish t ~schema:P.schema ~digest:"d" (mk_event !i);
-        incr i
-      done;
-      Alcotest.(check int) "subscriber dropped as lagged" 1 (S.lagged_count t);
-      (* publishing to the now-dead stream stays a cheap no-op *)
-      S.publish t ~schema:P.schema ~digest:"d" (mk_event 0);
-      let frames = drain_stream ~flush:(fun () -> S.flush t) cli in
-      (match List.rev frames with
-      | last :: _ ->
-          Alcotest.(check (option string)) "final frame is lagged"
-            (Some "lagged") (member_str "type" last);
-          (match member_int "dropped" last with
-          | Some n when n >= 1 -> ()
-          | _ -> Alcotest.fail "lagged frame carries no dropped count")
-      | [] -> Alcotest.fail "no frames before the drop");
-      Alcotest.(check int) "registry empty after drop" 0
-        (S.subscriber_count t))
 
 (* --- daemon: end-to-end over a real socket ------------------------------ *)
 
@@ -920,7 +754,7 @@ let daemon_drain_cancels_stragglers () =
         (Some spin_digest) (member_str "job" entry)
   | _ -> Alcotest.fail "stats JSON lacks the abandoned_jobs list"
 
-(* --- daemon: durability, elasticity, streaming -------------------------- *)
+(* --- daemon: durability ------------------------------------------------- *)
 
 (* Verdicts served before a crash must be served byte-identically after
    a restart from the same state dir — including when the dying daemon
@@ -964,178 +798,13 @@ let daemon_durable_restart () =
       Alcotest.(check int) "one entry replayed" 1 stats2.D.replayed;
       Alcotest.(check int) "recovered hit counted" 1 stats2.D.cache_hits)
 
-(* Admin resize: clamped to the window, reflected in health, and
-   verdicts are unaffected by any resize sequence. *)
-let daemon_resize_rpc () =
-  let job = P.Lint { target = "jacobi/jacobi" } in
-  let local = mstr (run_ok job) in
-  let (), stats =
-    with_daemon
-      ~cfg:(fun c ->
-        {
-          c with
-          D.workers = 1;
-          workers_min = 1;
-          workers_max = 4;
-          (* park the load controller so only admin resizes move the
-             pool and the pinned counters below stay deterministic *)
-          scale_down_ticks = 1_000_000;
-        })
-      (fun path _t ->
-        let resized k r =
-          Option.bind (Mjson.member "resized" r) (member_int k)
-        in
-        let r = rpc path (P.Resize 3) in
-        Alcotest.(check (option int)) "requested" (Some 3)
-          (resized "requested" r);
-        Alcotest.(check (option int)) "from previous size" (Some 1)
-          (resized "from" r);
-        Alcotest.(check (option int)) "to new size" (Some 3) (resized "to" r);
-        Alcotest.(check (option int)) "health sees the grown pool" (Some 3)
-          (member_int "workers" (rpc path P.Health));
-        let r = rpc path (P.Resize 99) in
-        Alcotest.(check (option int)) "overshoot clamps to workers_max"
-          (Some 4) (resized "to" r);
-        let r = rpc path (P.Resize 1) in
-        Alcotest.(check (option int)) "shrink back" (Some 1) (resized "to" r);
-        let r = rpc path (P.Submit job) in
-        Alcotest.(check (option string)) "job ok after resizes" (Some "ok")
-          (member_str "status" r);
-        Alcotest.(check string) "verdict independent of resizing" local
-          (mstr (Option.get (Mjson.member "result" r))))
-  in
-  Alcotest.(check int) "two growth events" 2 stats.D.resizes_up;
-  Alcotest.(check int) "one shrink event" 1 stats.D.resizes_down
-
-(* Subscribe: a live job streams subscribed → … → end; an unknown job
-   is an error; a finished job answers instantly from the cache. *)
-let daemon_subscribe_stream () =
-  let spin = P.Spin { steps = 1_000_000 } in
-  let digest = P.job_digest spin in
-  let (), _stats =
-    with_daemon
-      ~cfg:(fun c -> { c with D.workers = 1; watchdog = 60_000_000 })
-      (fun path _t ->
-        let r = rpc path (P.Subscribe { digest = "feedfacefeedface" }) in
-        Alcotest.(check (option string)) "unknown job is an error"
-          (Some "error") (member_str "status" r);
-        let spin_fd = connect path in
-        P.write_frame spin_fd (P.request_to_json (P.Submit spin));
-        let rec wait_inflight n =
-          if n = 0 then Alcotest.fail "spin never became in-flight"
-          else if member_int "in_flight" (rpc path P.Health) <> Some 1 then begin
-            Unix.sleepf 0.01;
-            wait_inflight (n - 1)
-          end
-        in
-        wait_inflight 500;
-        let sub_fd = connect path in
-        (* a stuck daemon must fail the test, not hang it *)
-        Unix.setsockopt_float sub_fd Unix.SO_RCVTIMEO 30.0;
-        P.write_frame sub_fd (P.request_to_json (P.Subscribe { digest }));
-        let ic = Unix.in_channel_of_descr sub_fd in
-        let frame () =
-          match Mjson.of_string (input_line ic) with
-          | Ok j -> j
-          | Error m -> Alcotest.failf "stream frame does not parse: %s" m
-        in
-        let first = frame () in
-        Alcotest.(check (option string)) "attach acknowledged"
-          (Some "subscribed") (member_str "type" first);
-        Alcotest.(check (option string)) "stream tagged with the job"
-          (Some digest) (member_str "job" first);
-        let rec until_end () =
-          let j = frame () in
-          if member_str "type" j = Some "end" then j else until_end ()
-        in
-        let fin = until_end () in
-        Alcotest.(check (option string)) "live stream ends with the verdict"
-          (Some "stalled") (member_str "status" fin);
-        (* the submitting client still gets its full reply *)
-        (match P.read_frame spin_fd with
-        | Ok line -> (
-            match Mjson.of_string line with
-            | Ok r ->
-                Alcotest.(check (option string)) "spin served" (Some "ok")
-                  (member_str "status" r)
-            | Error m -> Alcotest.failf "spin reply does not parse: %s" m)
-        | Error e -> Alcotest.failf "spin reply: %s" (P.read_error_to_string e));
-        Unix.close spin_fd;
-        (try Unix.close sub_fd with Unix.Unix_error _ -> ());
-        (* now cached: subscribe answers with an immediate end frame *)
-        let r = rpc path (P.Subscribe { digest }) in
-        Alcotest.(check (option string)) "cached job ends instantly"
-          (Some "end") (member_str "type" r);
-        Alcotest.(check (option string)) "with a cached status"
-          (Some "cached") (member_str "status" r))
-  in
-  ()
-
-(* The load controller: admission depth past the threshold grows the
-   pool toward workers_max; a drained queue shrinks it back to
-   workers_min after the hysteresis ticks. Health RPCs drive the
-   accept-loop ticks, so the polls below are also the clock. *)
-let daemon_elastic_scales () =
-  let (), stats =
-    with_daemon
-      ~cfg:(fun c ->
-        {
-          c with
-          D.workers = 1;
-          workers_min = 1;
-          workers_max = 3;
-          queue_max = 8;
-          scale_up_depth = 1;
-          scale_down_ticks = 2;
-          watchdog = 60_000_000;
-        })
-      (fun path _t ->
-        let fds =
-          List.init 3 (fun i ->
-              let fd = connect path in
-              P.write_frame fd
-                (P.request_to_json (P.Submit (P.Spin { steps = 1_500_000 + i })));
-              fd)
-        in
-        let rec wait_workers n target =
-          if n = 0 then
-            Alcotest.failf "pool never reached %d workers" target
-          else if member_int "workers" (rpc path P.Health) <> Some target
-          then begin
-            Unix.sleepf 0.01;
-            wait_workers (n - 1) target
-          end
-        in
-        wait_workers 500 3;
-        (* every spin resolves (watchdog verdicts) on the grown pool *)
-        List.iter
-          (fun fd ->
-            (match P.read_frame fd with
-            | Ok line -> (
-                match Mjson.of_string line with
-                | Ok r ->
-                    Alcotest.(check (option string)) "spin stalled"
-                      (Some "stalled")
-                      (Option.bind (Mjson.member "result" r)
-                         (member_str "outcome"))
-                | Error m -> Alcotest.failf "spin reply does not parse: %s" m)
-            | Error e ->
-                Alcotest.failf "spin reply: %s" (P.read_error_to_string e));
-            Unix.close fd)
-          fds;
-        (* idle hysteresis retires the surplus back to the floor *)
-        wait_workers 500 1)
-  in
-  Alcotest.(check bool) "growth events recorded" true (stats.D.resizes_up >= 1);
-  Alcotest.(check bool) "shrink events recorded" true
-    (stats.D.resizes_down >= 2);
-  Alcotest.(check int) "all spins stalled" 3 stats.D.stalled
-
 (* --- chaos acceptance ---------------------------------------------------
    Across 10 seeds, a job mix where >= 30% of jobs crash (boom) or
    wedge (spin): the daemon must serve every remaining job with replies
    byte-identical to a local batch run, emit a post-mortem for every
-   killed job, keep the queue bounded, and drain cleanly. *)
+   killed job, keep the queue bounded, and drain cleanly. The rank-crash
+   soak is a verdict, not a daemon crash: its rank post-mortem must
+   carry the same bytes as the batch run's, so no wall-clock trace. *)
 
 let chaos_jobs seed =
   [
@@ -1150,6 +819,12 @@ let chaos_jobs seed =
         faults = Some "kernel_launch%0.3:fail,mpi_send%0.2:drop";
       };
     P.Boom;
+    P.Soak
+      {
+        case = "cuda-to-mpi/send_device_devicesync";
+        seed;
+        faults = Some "mpi_send#1:crash";
+      };
   ]
 
 let daemon_chaos_acceptance () =
@@ -1246,10 +921,6 @@ let () =
           Alcotest.test_case "with_retries spends schedule" `Quick
             with_retries_spends_schedule;
           Alcotest.test_case "with_retries exhausts" `Quick with_retries_exhausts;
-          Alcotest.test_case "breaker transitions pinned" `Quick
-            breaker_pinned_transitions;
-          Alcotest.test_case "breaker call classifies" `Quick
-            breaker_call_classifies;
         ] );
       ( "journal",
         [
@@ -1266,12 +937,6 @@ let () =
             journal_compact_preserves;
           QCheck_alcotest.to_alcotest prop_journal_crash_point;
         ] );
-      ( "stream",
-        [
-          Alcotest.test_case "subscribed, event, end" `Quick stream_live_frames;
-          Alcotest.test_case "slow subscriber dropped as lagged" `Quick
-            stream_lagged_dropped;
-        ] );
       ( "daemon",
         [
           Alcotest.test_case "health, lint, cache" `Quick daemon_health_and_lint;
@@ -1284,12 +949,6 @@ let () =
             daemon_drain_cancels_stragglers;
           Alcotest.test_case "durable restart serves identical bytes" `Quick
             daemon_durable_restart;
-          Alcotest.test_case "resize rpc clamps and preserves verdicts" `Quick
-            daemon_resize_rpc;
-          Alcotest.test_case "subscribe streams a live job" `Quick
-            daemon_subscribe_stream;
-          Alcotest.test_case "elastic pool scales with load" `Quick
-            daemon_elastic_scales;
         ] );
       ("chaos", [ Alcotest.test_case "acceptance" `Slow daemon_chaos_acceptance ]);
     ]
