@@ -24,7 +24,3 @@ val analyze : Kir.Ir.modul -> entry:string -> summary
     are resolved by a summary fixpoint ascending from the bottom
     "untouched" summary, so recursive functions get exactly the
     accesses their bodies perform. *)
-
-val analyze_module : Kir.Ir.modul -> (string, summary) Hashtbl.t
-(** Run the summary fixpoint over the whole module; the table maps
-    every defined function to its converged summary. *)

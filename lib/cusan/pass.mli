@@ -13,12 +13,17 @@ val instrument_kernel : ?prove:bool -> Cudasim.Kernel.t -> unit
     (pure fat-binary), which stay unanalyzed and are handled
     conservatively at launch.
 
+    Like the paper's pass, which runs once at build time, validation and
+    both analyses run once per module (by physical identity, see
+    {!Kir.Memo}) and entry in each domain; later kernel objects from the
+    same module get the cached result. A module that fails validation
+    is not cached and raises again on the next call.
+
     With [~prove:true] (default [false], which leaves the attached
     verdicts exactly as before), every race candidate is handed to the
-    {!Witness} solver: validated candidates are attached as
-    [Proved_race] with the witness description appended, and a Must
-    the replay cannot validate is downgraded to [May_race] with the
-    solver's diagnostic.
+    {!Witness} solver on every call, never from a cache: the solver
+    allocates scratch buffers in the running program's simulated heap.
+    Validated candidates are attached as [Proved_race] with the witness
+    description appended, and a Must the replay cannot validate is
+    downgraded to [May_race] with the solver's diagnostic.
     @raise Kir.Validate.Invalid on ill-formed IR. *)
-
-val instrument_kernels : Cudasim.Kernel.t list -> unit

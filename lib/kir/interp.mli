@@ -1,4 +1,4 @@
-(** Reference interpreter for KIR kernels.
+(** Interpreter for KIR kernels.
 
     Executes a kernel body once per thread index, as the device would,
     against the simulated address space. Device code must only
@@ -10,7 +10,22 @@
     [Loadi]/[Storei] address 4-byte lanes relative to the same pointer.
     The optional tracer reports each touched location, which property
     tests use to check the static kernel access analysis against real
-    footprints. *)
+    footprints.
+
+    A module is compiled into closures the first time a domain runs it
+    (cached in a {!Memo} by physical identity): locals live in frame
+    slots, callees and each function's "reaches a barrier" flag are
+    resolved once, and binops are bound to their operator. Compiling
+    never raises. Execution keeps the order of a direct walk of the IR:
+    the pointer, index and value of a load or store, the operands of
+    [Ptradd] and the bounds of a loop run left to right, binop operands
+    right to left, call arguments left to right. Each error raises the
+    same exception with the same message at the point where that walk
+    raises it: [Runtime_error] for an unbound local, an undefined
+    function or kernel, a parameter index past the arguments, a scalar
+    or pointer in the other's place, and integer division or mod by
+    zero; {!Device_fault} for host memory; and whatever indexing the
+    arguments or the memory raises (e.g. [Memsim.Ptr.Out_of_bounds]). *)
 
 exception Device_fault of string
 exception Runtime_error of string

@@ -12,8 +12,6 @@
 
 exception Invalid of string
 
-val check_func : Ir.modul -> Ir.func -> unit
-
 val check_module : Ir.modul -> unit
 (** @raise Invalid on unbound locals, out-of-range parameters, arity or
     type mismatches at calls, duplicate functions, kernel entries that

@@ -311,40 +311,44 @@ let fiber_history fibers =
 (* [count] is the number of cells this race event covers: a uniform page
    reports once for all its cells, but the raw-event tally must match
    the per-cell accounting so extent-level detection stays
-   verdict-identical to the per-cell walk. *)
+   verdict-identical to the per-cell walk. An event whose origin pair
+   was already reported is only counted: the dedup key ([Report.dedup_key]
+   of the report it would build) is tested before the report is built,
+   so a repeat does not symbolize its address, look up the previous
+   owner or pull flight-recorder history. *)
 let report t ~count ~addr ~granule ~(cur_kind : [ `Read | `Write ]) ~prev_epoch
     ~prev_origin ~(prev_kind : [ `Read | `Write ]) =
   t.races_total <- t.races_total + count;
-  let prev_fiber =
-    (* A recycled slot has had several owners: the epoch belongs to the
-       latest one that started at or before its clock. *)
-    let tid = Epoch.tid prev_epoch and clock = Epoch.clock prev_epoch in
-    match
-      List.find_opt (fun f -> f.tid = tid && f.start <= clock) t.fibers
-    with
-    | Some f -> f.name
-    | None -> Fmt.str "fiber#%d" tid
-  in
-  let r =
-    {
-      Report.addr;
-      bytes = granule;
-      current =
-        { Report.fiber = t.cur.name; kind = cur_kind; origin = current_origin t };
-      previous =
-        { Report.fiber = prev_fiber; kind = prev_kind; origin = origin_name t prev_origin };
-      location = Report.symbolize addr;
-      history =
-        fiber_history
-          (if prev_fiber = t.cur.name then [ t.cur.name ]
-           else [ t.cur.name; prev_fiber ]);
-    }
-  in
-  let key = Report.dedup_key r in
-  if (not (Hashtbl.mem t.seen key)) && not (Suppress.check t.suppressions r)
-  then begin
-    Hashtbl.replace t.seen key ();
-    if List.length t.reports < t.report_limit then t.reports <- r :: t.reports
+  let cur_origin = current_origin t and prev_origin = origin_name t prev_origin in
+  let key = (cur_origin, cur_kind, prev_origin, prev_kind) in
+  if not (Hashtbl.mem t.seen key) then begin
+    let prev_fiber =
+      (* A recycled slot has had several owners: the epoch belongs to the
+         latest one that started at or before its clock. *)
+      let tid = Epoch.tid prev_epoch and clock = Epoch.clock prev_epoch in
+      match
+        List.find_opt (fun f -> f.tid = tid && f.start <= clock) t.fibers
+      with
+      | Some f -> f.name
+      | None -> Fmt.str "fiber#%d" tid
+    in
+    let r =
+      {
+        Report.addr;
+        bytes = granule;
+        current = { Report.fiber = t.cur.name; kind = cur_kind; origin = cur_origin };
+        previous = { Report.fiber = prev_fiber; kind = prev_kind; origin = prev_origin };
+        location = Report.symbolize addr;
+        history =
+          fiber_history
+            (if prev_fiber = t.cur.name then [ t.cur.name ]
+             else [ t.cur.name; prev_fiber ]);
+      }
+    in
+    if not (Suppress.check t.suppressions r) then begin
+      Hashtbl.replace t.seen key ();
+      if List.length t.reports < t.report_limit then t.reports <- r :: t.reports
+    end
   end
 
 (* --- FastTrack core -------------------------------------------------- *)

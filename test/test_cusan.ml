@@ -197,6 +197,63 @@ let instrument_rejects_invalid_ir () =
   | () -> Alcotest.fail "invalid IR instrumented"
   | exception Kir.Validate.Invalid _ -> ()
 
+(* --- the pass memo ------------------------------------------------------- *)
+
+(* arg0 is read at tid + 1 and written at tid: a must-race the witness
+   solver proves, next to a read-only arg1. *)
+let racy_module () =
+  Kir.Dsl.(
+    modul ~kernels:[ "k" ]
+      [
+        func "k" [ ptr "a"; ptr "b" ]
+          [ store (p 0) tid (load (p 0) (tid +. i 1) +. load (p 1) tid) ];
+      ])
+
+let instrumented ?prove m =
+  let k = K.make ~kir:(m, "k") "k" in
+  Cusan.Pass.instrument_kernel ?prove k;
+  (k.K.access, k.K.static_races)
+
+(* The memo is keyed by physical identity: a structurally equal copy is
+   analyzed on its own and must get the same attributes and races. *)
+let pass_memo_copy_agrees () =
+  let m = racy_module () in
+  let copy : Kir.Ir.modul = Marshal.from_string (Marshal.to_string m []) 0 in
+  Alcotest.(check bool) "distinct but equal" true (m != copy && m = copy);
+  let first = instrumented m in
+  let access, races = first in
+  Alcotest.(check bool) "attributes" true (access = Some [| Some K.RW; Some K.R |]);
+  Alcotest.(check bool) "a must-race" true
+    (match races with Some [ (K.Must_race, _) ] -> true | _ -> false);
+  Alcotest.(check bool) "cached = first" true (instrumented m = first);
+  Alcotest.(check bool) "copy = first" true (instrumented copy = first)
+
+let pass_memo_never_caches_failure () =
+  let m = Kir.Dsl.(modul ~kernels:[ "k" ] [ func "k" [ ptr "a" ] [ call "ghost" [] ] ]) in
+  for call = 1 to 3 do
+    match instrumented m with
+    | _ -> Alcotest.failf "call %d: invalid IR instrumented" call
+    | exception Kir.Validate.Invalid _ -> ()
+  done
+
+(* Witness replay allocates scratch buffers in the simulated heap, so it
+   must run on every call: each call moves the heap's high-water mark. *)
+let pass_prove_runs_every_call () =
+  let m = racy_module () in
+  let run () =
+    Memsim.Heap.reset ();
+    let r = instrumented ~prove:true m in
+    (r, Memsim.Heap.peak_bytes ())
+  in
+  Fun.protect ~finally:Memsim.Heap.reset @@ fun () ->
+  let first, peak1 = run () in
+  let second, peak2 = run () in
+  Alcotest.(check bool) "proved" true
+    (match snd first with Some [ (K.Proved_race, _) ] -> true | _ -> false);
+  Alcotest.(check bool) "same verdicts" true (first = second);
+  Alcotest.(check bool) "replayed on the first call" true (peak1 > 0);
+  Alcotest.(check bool) "replayed on the second call" true (peak2 > 0)
+
 (* --- property: analysis over-approximates real footprints -------------- *)
 
 (* Random kernel generator: params [a: ptr(8 elems); b: ptr(8); n: scalar],
@@ -452,6 +509,11 @@ let tests =
       mutual_recursion_fixpoint;
     Alcotest.test_case "two-level call chain" `Quick two_level_call_chain;
     Alcotest.test_case "instrument sets access" `Quick instrument_sets_access;
+    Alcotest.test_case "pass memo: equal copy agrees" `Quick pass_memo_copy_agrees;
+    Alcotest.test_case "pass memo: failures not cached" `Quick
+      pass_memo_never_caches_failure;
+    Alcotest.test_case "pass memo: witness replays every call" `Quick
+      pass_prove_runs_every_call;
     Alcotest.test_case "instrument validates IR" `Quick
       instrument_rejects_invalid_ir;
     QCheck_alcotest.to_alcotest prop_analysis_overapproximates;

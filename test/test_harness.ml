@@ -120,6 +120,43 @@ let testsuite_all_classified_deferred () =
   let pass, total = Testsuite.Runner.summary verdicts in
   Alcotest.(check int) "all pass in deferred mode" total pass
 
+(* Kernels are compiled and analyzed once per domain ([Kir.Memo]), so a
+   case's verdict must not depend on what its domain ran before. Each
+   case runs in a fresh domain (cold caches), then twice in one domain
+   that has already run every earlier case (warm). *)
+let observed (v : Testsuite.Runner.verdict) =
+  (v.Testsuite.Runner.reports, v.Testsuite.Runner.static_races, v.Testsuite.Runner.pass)
+
+let in_fresh_domain f = Domain.join (Domain.spawn f)
+
+let check_warm_equals_cold name ~cold (warm1, warm2) =
+  Alcotest.(check bool) (name ^ ": first warm run = cold run") true (warm1 = cold);
+  Alcotest.(check bool) (name ^ ": second warm run = cold run") true (warm2 = cold)
+
+let twice run =
+  let first = run () in
+  (first, run ())
+
+let warm_equals_cold () =
+  let cases = Testsuite.Cases.all () in
+  let run c () = observed (Testsuite.Runner.run_case c) in
+  let cold = List.map (fun c -> in_fresh_domain (run c)) cases in
+  let warm = in_fresh_domain (fun () -> List.map (fun c -> twice (run c)) cases) in
+  List.iter2
+    (fun (c, cold) warm -> check_warm_equals_cold c.Testsuite.Cases.name ~cold warm)
+    (List.combine cases cold) warm;
+  (* witness mode replays in the run's own heap on every call *)
+  let case =
+    List.find
+      (fun c -> c.Testsuite.Cases.name = "intra-kernel/exchange_nobarrier_nok")
+      cases
+  in
+  let run () = observed (Testsuite.Runner.run_case ~prove_static:true case) in
+  let cold = in_fresh_domain run in
+  let _, _, pass = cold in
+  Alcotest.(check bool) "prove_static case passes" true pass;
+  check_warm_equals_cold "prove_static" ~cold (in_fresh_domain (fun () -> twice run))
+
 let tests =
   [
     Alcotest.test_case "flavors" `Quick flavors;
@@ -137,6 +174,7 @@ let tests =
       testsuite_all_classified;
     Alcotest.test_case "testsuite fully classified (deferred)" `Quick
       testsuite_all_classified_deferred;
+    Alcotest.test_case "warm caches = cold caches" `Quick warm_equals_cold;
   ]
 
 let () = Alcotest.run "harness" [ ("harness", tests) ]

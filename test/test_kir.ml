@@ -455,6 +455,553 @@ let native_misaligned_extent_raises () =
         sizes)
     (native_kernels ~nx:8 ~rows:6)
 
+(* --- the module memo ------------------------------------------------------- *)
+
+(* A module built fresh on every call: structurally equal, never
+   physically. *)
+let fresh_module () = simple_module Dsl.[ store (p 0) tid (f 1.) ]
+
+let memo_by_identity () =
+  let memo = Memo.create () and computed = ref 0 in
+  let find m = Memo.find_or_add memo m (fun _ -> incr computed; !computed) in
+  let m = fresh_module () and copy = fresh_module () in
+  Alcotest.(check bool) "distinct but equal" true (m != copy && m = copy);
+  Alcotest.(check int) "computed" 1 (find m);
+  Alcotest.(check int) "cached" 1 (find m);
+  Alcotest.(check int) "an equal copy is another key" 2 (find copy);
+  Alcotest.(check int) "both stay cached" 1 (find m);
+  (match Memo.find_or_add memo (fresh_module ()) (fun _ -> failwith "boom") with
+  | _ -> Alcotest.fail "exception swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "a failure caches nothing" 2 !computed
+
+(* The least recently used module is the one dropped: [m] survives
+   [capacity] newcomers while it keeps being used, and is computed
+   again once it has not been. *)
+let memo_bounded_lru () =
+  let memo = Memo.create () and computed = ref 0 in
+  let find m = Memo.find_or_add memo m (fun _ -> incr computed; !computed) in
+  let m = fresh_module () in
+  let first = find m in
+  for _ = 1 to 2 * Memo.capacity do
+    ignore (find (fresh_module ()));
+    Alcotest.(check int) "kept while used" first (find m)
+  done;
+  for _ = 1 to Memo.capacity do
+    ignore (find (fresh_module ()))
+  done;
+  Alcotest.(check bool) "dropped after capacity newcomers" true (find m <> first)
+
+(* --- compiled = reference ------------------------------------------------- *)
+
+(* The tree-walking interpreter that the compiled [Interp] replaced,
+   kept as the reference model: locals in a string-keyed table per
+   activation, every callee looked up by name at the call, the barrier
+   flag recomputed per launch. It raises [Interp]'s exceptions, so
+   outcomes compare directly. *)
+module Reference = struct
+  open Interp
+
+  let as_int = function
+    | VInt i -> i
+    | VFlt f -> int_of_float f
+    | VPtr _ -> raise (Runtime_error "pointer where scalar expected")
+
+  let as_flt = function
+    | VFlt f -> f
+    | VInt i -> float_of_int i
+    | VPtr _ -> raise (Runtime_error "pointer where scalar expected")
+
+  let as_ptr = function
+    | VPtr p -> p
+    | v ->
+        raise
+          (Runtime_error (Fmt.str "scalar %a where pointer expected" pp_value v))
+
+  let check_device (p : Memsim.Ptr.t) =
+    if not (Memsim.Space.device_accessible (Memsim.Ptr.space p)) then
+      raise
+        (Device_fault (Fmt.str "kernel touched host memory %a" Memsim.Ptr.pp p))
+
+  let truthy v = as_int v <> 0
+
+  let binop op a b =
+    let open Ir in
+    let arith fi ff =
+      match (a, b) with
+      | VInt x, VInt y -> VInt (fi x y)
+      | _ -> VFlt (ff (as_flt a) (as_flt b))
+    in
+    let cmp fi ff =
+      match (a, b) with
+      | VInt x, VInt y -> VInt (if fi x y then 1 else 0)
+      | _ -> VInt (if ff (as_flt a) (as_flt b) then 1 else 0)
+    in
+    match op with
+    | Add -> arith ( + ) ( +. )
+    | Sub -> arith ( - ) ( -. )
+    | Mul -> arith ( * ) ( *. )
+    | Div -> (
+        match (a, b) with
+        | VInt x, VInt y ->
+            if y = 0 then raise (Runtime_error "division by zero")
+            else VInt (x / y)
+        | _ -> VFlt (as_flt a /. as_flt b))
+    | Mod -> (
+        match (as_int a, as_int b) with
+        | _, 0 -> raise (Runtime_error "mod by zero")
+        | x, y -> VInt (x mod y))
+    | Min -> arith min min
+    | Max -> arith max max
+    | Lt -> cmp ( < ) ( < )
+    | Le -> cmp ( <= ) ( <= )
+    | Eq -> cmp ( = ) ( = )
+    | And -> VInt (if truthy a && truthy b then 1 else 0)
+    | Or -> VInt (if truthy a || truthy b then 1 else 0)
+
+  type frame = {
+    args : value array;
+    locals : (string, value) Hashtbl.t;
+    tid : int;
+    ntid : int;
+  }
+
+  type _ Effect.t += Barrier_reached : unit Effect.t
+
+  let rec eval m tr fr (e : Ir.expr) : value =
+    match e with
+    | Int i -> VInt i
+    | Flt f -> VFlt f
+    | Param i ->
+        if i < Array.length fr.args then fr.args.(i)
+        else raise (Runtime_error "param out of range")
+    | Local n -> (
+        match Hashtbl.find_opt fr.locals n with
+        | Some v -> v
+        | None -> raise (Runtime_error ("unbound local " ^ n)))
+    | Tid -> VInt fr.tid
+    | Ntid -> VInt fr.ntid
+    | Load (pe, ie) ->
+        let p = as_ptr (eval m tr fr pe) and i = as_int (eval m tr fr ie) in
+        check_device p;
+        tr.on_read (Memsim.Ptr.add p ~elt:8 i) ~bytes:8;
+        VFlt (Memsim.Access.raw_get_f64 p i)
+    | Loadi (pe, ie) ->
+        let p = as_ptr (eval m tr fr pe) and i = as_int (eval m tr fr ie) in
+        check_device p;
+        tr.on_read (Memsim.Ptr.add p ~elt:4 i) ~bytes:4;
+        VInt (Memsim.Access.raw_get_i32 p i)
+    | Binop (op, a, b) -> binop op (eval m tr fr a) (eval m tr fr b)
+    | Neg a -> (
+        match eval m tr fr a with
+        | VInt i -> VInt (-i)
+        | VFlt f -> VFlt (-.f)
+        | VPtr _ -> raise (Runtime_error "negating a pointer"))
+    | I2f a -> VFlt (as_flt (eval m tr fr a))
+    | F2i a -> VInt (as_int (eval m tr fr a))
+    | Ptradd (pe, ie) ->
+        let p = as_ptr (eval m tr fr pe) and i = as_int (eval m tr fr ie) in
+        VPtr (Memsim.Ptr.add p ~elt:8 i)
+
+  and exec m tr fr (s : Ir.stmt) =
+    match s with
+    | Store (pe, ie, ve) ->
+        let p = as_ptr (eval m tr fr pe)
+        and i = as_int (eval m tr fr ie)
+        and v = as_flt (eval m tr fr ve) in
+        check_device p;
+        tr.on_write (Memsim.Ptr.add p ~elt:8 i) ~bytes:8;
+        Memsim.Access.raw_set_f64 p i v
+    | Storei (pe, ie, ve) ->
+        let p = as_ptr (eval m tr fr pe)
+        and i = as_int (eval m tr fr ie)
+        and v = as_int (eval m tr fr ve) in
+        check_device p;
+        tr.on_write (Memsim.Ptr.add p ~elt:4 i) ~bytes:4;
+        Memsim.Access.raw_set_i32 p i v
+    | Let (n, e) -> Hashtbl.replace fr.locals n (eval m tr fr e)
+    | If (c, t, e) ->
+        if truthy (eval m tr fr c) then List.iter (exec m tr fr) t
+        else List.iter (exec m tr fr) e
+    | For (v, lo, hi, body) ->
+        let lo = as_int (eval m tr fr lo) and hi = as_int (eval m tr fr hi) in
+        for x = lo to hi - 1 do
+          Hashtbl.replace fr.locals v (VInt x);
+          List.iter (exec m tr fr) body
+        done
+    | Call (name, args) -> (
+        match Ir.find_func m name with
+        | None -> raise (Runtime_error ("undefined function " ^ name))
+        | Some callee ->
+            let argv = Array.of_list (List.map (eval m tr fr) args) in
+            let fr' = { fr with args = argv; locals = Hashtbl.create 8 } in
+            List.iter (exec m tr fr') callee.Ir.body)
+    | Barrier -> Effect.perform Barrier_reached
+
+  let run_thread ?(tracer = no_trace) ?on_barrier m ~name ~args ~tid ~ntid =
+    match Ir.find_func m name with
+    | None -> raise (Runtime_error ("undefined kernel " ^ name))
+    | Some f ->
+        let fr = { args; locals = Hashtbl.create 8; tid; ntid } in
+        let body () = List.iter (exec m tracer fr) f.Ir.body in
+        Effect.Deep.match_with body ()
+          {
+            retc = (fun () -> ());
+            exnc = raise;
+            effc =
+              (fun (type a) (eff : a Effect.t) ->
+                match eff with
+                | Barrier_reached ->
+                    Some
+                      (fun (k : (a, _) Effect.Deep.continuation) ->
+                        (match on_barrier with Some f -> f () | None -> ());
+                        Effect.Deep.continue k ())
+                | _ -> None);
+          }
+
+  let thread_footprint m ~name ~args ~tid ~ntid =
+    let events = ref [] and phase = ref 0 in
+    let push write p ~bytes =
+      events :=
+        {
+          ev_phase = !phase;
+          ev_addr = Memsim.Ptr.addr p;
+          ev_bytes = bytes;
+          ev_write = write;
+        }
+        :: !events
+    in
+    let tracer = { on_read = push false; on_write = push true } in
+    run_thread ~tracer ~on_barrier:(fun () -> incr phase) m ~name ~args ~tid
+      ~ntid;
+    List.rev !events
+
+  let module_has_barrier m name =
+    let visited = Hashtbl.create 8 in
+    let rec func name =
+      if Hashtbl.mem visited name then false
+      else begin
+        Hashtbl.replace visited name ();
+        match Ir.find_func m name with
+        | None -> false
+        | Some f -> List.exists stmt f.Ir.body
+      end
+    and stmt = function
+      | Ir.Barrier -> true
+      | Ir.If (_, t, e) -> List.exists stmt t || List.exists stmt e
+      | Ir.For (_, _, _, body) -> List.exists stmt body
+      | Ir.Call (callee, _) -> func callee
+      | Ir.Store _ | Ir.Storei _ | Ir.Let _ -> false
+    in
+    func name
+
+  let run_kernel ?(tracer = no_trace) m ~name ~args ~grid =
+    if not (module_has_barrier m name) then begin
+      if grid > 0 then
+        match Ir.find_func m name with
+        | None -> raise (Runtime_error ("undefined kernel " ^ name))
+        | Some f ->
+            let locals = Hashtbl.create 8 in
+            for tid = 0 to grid - 1 do
+              Hashtbl.reset locals;
+              let fr = { args; locals; tid; ntid = grid } in
+              List.iter (exec m tracer fr) f.Ir.body
+            done
+    end
+    else begin
+      let next_wave : (unit -> unit) list ref = ref [] in
+      let spawn tid () =
+        match Ir.find_func m name with
+        | None -> raise (Runtime_error ("undefined kernel " ^ name))
+        | Some f ->
+            let fr = { args; locals = Hashtbl.create 8; tid; ntid = grid } in
+            List.iter (exec m tracer fr) f.Ir.body
+      in
+      let handle body =
+        Effect.Deep.match_with body ()
+          {
+            retc = (fun () -> ());
+            exnc = raise;
+            effc =
+              (fun (type a) (eff : a Effect.t) ->
+                match eff with
+                | Barrier_reached ->
+                    Some
+                      (fun (k : (a, _) Effect.Deep.continuation) ->
+                        next_wave :=
+                          (fun () -> Effect.Deep.continue k ()) :: !next_wave)
+                | _ -> None);
+          }
+      in
+      for tid = 0 to grid - 1 do
+        handle (spawn tid)
+      done;
+      while !next_wave <> [] do
+        let wave = List.rev !next_wave in
+        next_wave := [];
+        List.iter handle wave
+      done
+    end
+end
+
+(* Random modules of three functions: the kernel [k (a, b, h, n)] with
+   [h] a host buffer, a [helper (a, b, s)] it calls, and [rec (a, d)],
+   which recurses while [d >= 1] and is only ever entered with an int
+   [d <= 3]. Each body starts by binding [x], [y], [z], [i] and the
+   pointer [q]; [w] is bound only inside branches and loops; loop trip
+   counts stay below six. Every binop, [Loadi]/[Storei],
+   [Neg]/[I2f]/[F2i]/[Ptradd], barriers in any position, recursion and
+   out-of-bounds indices appear in every module. Half the modules are
+   also [faulty]: they read [w] and the never-bound [u], pass scalars
+   and pointers in each other's place, touch the host buffer, index
+   parameters out of range and call [helper] with the wrong arity and
+   an undefined [ghost]. *)
+let diff_nelts = 6
+let diff_grid = 4
+
+let gen_diff_module_with ~faulty : Ir.modul QCheck.Gen.t =
+  let open QCheck.Gen in
+  let open Ir in
+  let freq l =
+    frequency (List.filter_map (fun (w, fault, g) -> if fault && not faulty then None else Some (w, g)) l)
+  in
+  let binops = [ Add; Sub; Mul; Div; Min; Max; Lt; Le; Eq; And; Or; Mod ] in
+  let scalar_leaf ~nparams =
+    freq
+      [
+        (7, false, map (fun k -> Int k) (int_range 0 (diff_nelts - 1)));
+        (1, false, map (fun k -> Int k) (oneofl [ -1; diff_nelts ]));
+        (4, false, map (fun f -> Flt f) (oneofl [ 0.; -0.; 0.5; -1.5; 3.; 1e300; Float.nan ]));
+        (6, false, return Tid);
+        (2, false, return Ntid);
+        (10, false, map (fun n -> Local n) (oneofl [ "x"; "y"; "z"; "i" ]));
+        (2, nparams < 4, return (Param 3));
+        (2, true, return (Local "w"));
+        (1, true, return (Local "u"));
+      ]
+  in
+  let rec scalar ~nparams d =
+    if d = 0 then scalar_leaf ~nparams
+    else
+      let scalar = scalar ~nparams (d - 1) and pointer = pointer ~nparams (d - 1) in
+      freq
+        [
+          (16, false, scalar_leaf ~nparams);
+          (16, false, map3 (fun op a b -> Binop (op, a, b)) (oneofl binops) scalar scalar);
+          (4, false, map (fun e -> Neg e) scalar);
+          (4, false, map (fun e -> I2f e) scalar);
+          (4, false, map (fun e -> F2i e) scalar);
+          (8, false, map2 (fun p i -> Load (p, i)) pointer scalar);
+          (4, false, map2 (fun p i -> Loadi (p, i)) pointer scalar);
+          (4, true, pointer);
+        ]
+  and pointer ~nparams d =
+    freq
+      ([
+         (20, false, return (Param 0));
+         (20, nparams < 3, return (Param 1));
+         (8, false, return (Local "q"));
+         (1, true, return (Param 2));
+         (1, true, map (fun k -> Param k) (oneofl [ 7; -1 ]));
+         (1, true, scalar_leaf ~nparams);
+       ]
+      @
+      if d = 0 then []
+      else
+        [
+          ( 6,
+            false,
+            map2 (fun p i -> Ptradd (p, i)) (pointer ~nparams (d - 1)) (scalar ~nparams (d - 1)) );
+        ])
+  in
+  let helper_args =
+    freq
+      [
+        (6, false, map3 (fun a b s -> [ a; b; s ]) (pointer ~nparams:4 1) (pointer ~nparams:4 1) (scalar ~nparams:4 1));
+        (1, true, list_size (oneofl [ 2; 4 ]) (oneof [ pointer ~nparams:4 1; scalar ~nparams:4 1 ]));
+      ]
+  in
+  let rec stmt ~nparams ~calls d =
+    let scalar = scalar ~nparams and pointer = pointer ~nparams in
+    let block n = list_size (0 -- n) (stmt ~nparams ~calls (d - 1)) in
+    freq
+      ([
+         (16, false, map3 (fun p i v -> Store (p, i, v)) (pointer 1) (scalar 1) (scalar 2));
+         (8, false, map3 (fun p i v -> Storei (p, i, v)) (pointer 1) (scalar 1) (scalar 2));
+         (16, false, map2 (fun n e -> Let (n, e)) (oneofl [ "x"; "y"; "z" ]) (scalar 2));
+         (4, false, map (fun p -> Let ("q", p)) (pointer 1));
+         (4, false, return Barrier);
+       ]
+      @ (if d = 0 then []
+         else
+           [
+             ( 8,
+               false,
+               map3 (fun c t e -> If (c, Let ("w", c) :: t, e)) (scalar 1) (block 3) (block 2) );
+             ( 8,
+               false,
+               map3
+                 (fun (v, lo) hi body -> For (v, lo, hi, body @ [ Let ("w", Local v) ]))
+                 (pair (oneofl [ "i"; "i"; "x" ]) (map (fun k -> Int k) (int_range 0 2)))
+                 (map (fun e -> Binop (Mod, F2i e, Int 6)) (scalar 1))
+                 (block 3) );
+           ])
+      @
+      if not calls then []
+      else
+        [
+          (4, false, map (fun args -> Call ("helper", args)) helper_args);
+          ( 4,
+            false,
+            map2 (fun p e -> Call ("rec", [ p; Binop (Min, F2i e, Int 3) ])) (pointer 1) (scalar 1) );
+          (1, true, return (Call ("ghost", [])));
+        ])
+  in
+  let prelude ~x ~q =
+    [ Let ("x", x); Let ("y", I2f Tid); Let ("z", Int 2); Let ("i", Int 0); Let ("q", q) ]
+  in
+  let body ~nparams ~calls = list_size (1 -- 6) (stmt ~nparams ~calls 2) in
+  map3
+    (fun k helper r ->
+      {
+        funcs =
+          [
+            {
+              fname = "k";
+              params = [ ("a", Pointer); ("b", Pointer); ("h", Pointer); ("n", Scalar) ];
+              body = prelude ~x:Tid ~q:(Ptradd (Param 0, Int 1)) @ k;
+            };
+            {
+              fname = "helper";
+              params = [ ("a", Pointer); ("b", Pointer); ("s", Scalar) ];
+              body = prelude ~x:(Param 2) ~q:(Param 1) @ helper;
+            };
+            {
+              fname = "rec";
+              params = [ ("a", Pointer); ("d", Scalar) ];
+              body =
+                prelude ~x:(Param 1) ~q:(Param 0)
+                @ [
+                    If
+                      ( Binop (Lt, Param 1, Int 1),
+                        [],
+                        r @ [ Call ("rec", [ Param 0; Binop (Sub, Param 1, Int 1) ]) ] );
+                  ];
+            };
+          ];
+        kernels = [ "k" ];
+      })
+    (body ~nparams:4 ~calls:true) (body ~nparams:3 ~calls:false)
+    (list_size (0 -- 3) (stmt ~nparams:2 ~calls:false 1))
+
+let gen_diff_module =
+  let clean = gen_diff_module_with ~faulty:false
+  and faulty = gen_diff_module_with ~faulty:true in
+  QCheck.Gen.(bool >>= fun f -> if f then faulty else clean)
+
+(* One run on fresh buffers — two device buffers with distinct contents
+   and a host buffer — reporting the final bytes of all three, the
+   events the run logged and the exception that ended it, if any. *)
+let observe_diff run =
+  with_heap @@ fun () ->
+  let a = dev_alloc diff_nelts and b = dev_alloc diff_nelts in
+  let h = Memsim.Heap.alloc Memsim.Space.Host_pageable (diff_nelts * 8) in
+  for i = 0 to diff_nelts - 1 do
+    Memsim.Access.raw_set_f64 a i (float_of_int i +. 0.25);
+    Memsim.Access.raw_set_i32 b (2 * i) (i - 2);
+    Memsim.Access.raw_set_i32 b ((2 * i) + 1) (3 * i)
+  done;
+  let events = ref [] in
+  let log kind addr bytes = events := (kind, addr, bytes) :: !events in
+  let args = Interp.[| VPtr a; VPtr b; VPtr h; VInt diff_grid |] in
+  let raised =
+    match run ~log args with
+    | () -> None
+    | exception e -> Some (Printexc.to_string e)
+  in
+  ( List.map (fun p -> Bytes.to_string (contents p)) [ a; b; h ],
+    List.rev !events,
+    raised )
+
+let tracer_of log =
+  {
+    Interp.on_read = (fun p ~bytes -> log "r" (Memsim.Ptr.addr p) bytes);
+    on_write = (fun p ~bytes -> log "w" (Memsim.Ptr.addr p) bytes);
+  }
+
+(* [run_kernel], [run_thread] for every tid (barriers logged) and
+   [thread_footprint] for every tid must leave the same bytes, log the
+   same events and raise the same exception under both interpreters.
+   The kernel name is mostly [k], sometimes undefined. *)
+let prop_compiled_matches_reference =
+  QCheck.Test.make ~name:"compiled = reference" ~count:1000 ~long_factor:20
+    (QCheck.make
+       ~print:(fun (m, name) ->
+         Fmt.str "kernel %s@.%a" name (Fmt.list ~sep:Fmt.cut Ir.pp_func) m.Ir.funcs)
+       QCheck.Gen.(
+         pair gen_diff_module (frequency [ (19, return "k"); (1, return "ghost") ])))
+    (fun (m, name) ->
+      let grid = diff_grid and ntid = diff_grid in
+      let same run = observe_diff (run `Compiled) = observe_diff (run `Reference) in
+      same (fun impl ~log args ->
+          let tracer = tracer_of log in
+          match impl with
+          | `Compiled -> Interp.run_kernel ~tracer m ~name ~args ~grid
+          | `Reference -> Reference.run_kernel ~tracer m ~name ~args ~grid)
+      && same (fun impl ~log args ->
+             let tracer = tracer_of log and on_barrier () = log "barrier" 0 0 in
+             for tid = 0 to grid - 1 do
+               match impl with
+               | `Compiled ->
+                   Interp.run_thread ~tracer ~on_barrier m ~name ~args ~tid ~ntid
+               | `Reference ->
+                   Reference.run_thread ~tracer ~on_barrier m ~name ~args ~tid ~ntid
+             done)
+      && same (fun impl ~log args ->
+             for tid = 0 to grid - 1 do
+               List.iter
+                 (fun (ev : Interp.footprint_event) ->
+                   log
+                     (Printf.sprintf "%s@%d" (if ev.ev_write then "w" else "r") ev.ev_phase)
+                     ev.ev_addr ev.ev_bytes)
+                 (match impl with
+                 | `Compiled -> Interp.thread_footprint m ~name ~args ~tid ~ntid
+                 | `Reference -> Reference.thread_footprint m ~name ~args ~tid ~ntid)
+             done))
+
+(* Every operator on every pair of corner operands (zeros of both signs,
+   NaN, a negative int, a pointer) stores the same bits or raises the
+   same error under both interpreters. *)
+let compiled_matches_reference_on_operators () =
+  let open Ir in
+  let operands =
+    [ Int 0; Int 1; Int (-3); Flt 0.; Flt (-0.); Flt Float.nan; Flt 2.5; Param 0 ]
+  in
+  let exprs =
+    List.concat_map
+      (fun a ->
+        [ Neg a; I2f a; F2i a ]
+        @ List.concat_map
+            (fun b ->
+              List.map
+                (fun op -> Binop (op, a, b))
+                [ Add; Sub; Mul; Div; Min; Max; Lt; Le; Eq; And; Or; Mod ])
+            operands)
+      operands
+  in
+  List.iter
+    (fun e ->
+      let m = simple_module [ Store (Param 0, Int 0, I2f e) ] in
+      let outcome compiled =
+        observe_diff (fun ~log args ->
+            let tracer = tracer_of log in
+            if compiled then Interp.run_kernel ~tracer m ~name:"k" ~args ~grid:1
+            else Reference.run_kernel ~tracer m ~name:"k" ~args ~grid:1)
+      in
+      if outcome true <> outcome false then
+        Alcotest.failf "%a differs" Ir.pp_expr e)
+    exprs
+
 let tests =
   [
     Alcotest.test_case "validator accepts well-formed" `Quick validate_ok;
@@ -488,6 +1035,12 @@ let tests =
     Alcotest.test_case "interp: undefined kernel" `Quick interp_undefined_kernel;
     Alcotest.test_case "interp: tracer footprint" `Quick interp_tracer_footprint;
     Alcotest.test_case "interp: ntid" `Quick interp_ntid;
+    Alcotest.test_case "memo: keyed by identity" `Quick memo_by_identity;
+    Alcotest.test_case "memo: bounded, least recently used dropped" `Quick
+      memo_bounded_lru;
+    Alcotest.test_case "compiled = reference on operator corners" `Quick
+      compiled_matches_reference_on_operators;
+    QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
     Alcotest.test_case "pp smoke" `Quick pp_smoke;
     Alcotest.test_case "app modules validate" `Quick apps_modules_validate;
     Alcotest.test_case "jacobi native = IR" `Quick native_matches_ir;

@@ -472,7 +472,7 @@ let prop_word_store_matches_bytes =
       (String.concat "; " (List.map string_of_int sizes))
       (String.concat "\n" (List.map pp_op ops))
   in
-  QCheck.Test.make ~name:"word store = byte store" ~count:500
+  QCheck.Test.make ~name:"word store = byte store" ~count:500 ~long_factor:20
     (QCheck.make ~print ~shrink:QCheck.Shrink.(pair nil list) gen_trace)
     run_trace
 

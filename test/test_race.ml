@@ -257,7 +257,7 @@ let prop_no_false_negatives =
 (* --- launch loop = per-thread replay ----------------------------------- *)
 
 (* The barrier-free launch loop of [run_kernel] (one kernel lookup, no
-   effect handler, one locals table reset per thread) must behave
+   effect handler, a fresh frame per thread) must behave
    exactly like running each thread through [run_thread] in tid order:
    same final memory, same tracer event sequence. *)
 

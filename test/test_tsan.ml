@@ -313,6 +313,39 @@ let dedup_many_cells () =
   Alcotest.(check bool) "many raw events" true (Detector.races_total d > 10);
   Alcotest.(check int) "one report" 1 (Detector.race_count d)
 
+(* The dedup key is tested before a report is built: 64 raw race events
+   with one origin pair symbolize one address, not 64, and the count
+   and the report are what building every report gave. *)
+let dedup_before_build () =
+  let calls = ref 0 in
+  Report.set_symbolizer (fun addr ->
+      incr calls;
+      Some (Printf.sprintf "d_buf+%d" (addr - base)));
+  Fun.protect ~finally:(fun () -> Report.set_symbolizer (fun _ -> None))
+  @@ fun () ->
+  let d = detector () in
+  let f = Detector.fiber_create d "stream0" in
+  (* a release between writes gives every cell its own epoch, so the
+     page is not uniform and each cell is its own race event *)
+  for i = 0 to 63 do
+    Detector.write_range d ~addr:(base + (i * 8)) ~len:8;
+    Detector.happens_before d 0
+  done;
+  Detector.switch_to_fiber d f;
+  Detector.with_context d "kernel:k" (fun () ->
+      Detector.write_range d ~addr:base ~len:512);
+  Alcotest.(check int) "one raw event per cell" 64 (Detector.races_total d);
+  Alcotest.(check int) "symbolized once" 1 !calls;
+  match Detector.races d with
+  | [ r ] ->
+      Alcotest.(check string) "report text"
+        "WARNING: data race at 0x1000000000 (8 bytes)\n\
+        \  write of size 8 by fiber 'stream0' in kernel:k\n\
+        \  previous write by fiber 'main' in main\n\
+        \  location: d_buf+0"
+        (Report.to_string r)
+  | rs -> Alcotest.failf "expected 1 report, got %d" (List.length rs)
+
 let contexts_in_reports () =
   let d = detector () in
   let f = Detector.fiber_create d "stream" in
@@ -907,6 +940,7 @@ let show_xop = function
 
 let prop_flat_arena_matches_oracle =
   QCheck.Test.make ~name:"flat-arena shadow matches per-cell oracle" ~count:300
+    ~long_factor:20
     (QCheck.make
        ~print:(fun l -> String.concat "; " (List.map show_xop l))
        QCheck.Gen.(list_size (0 -- 60) xop_gen))
@@ -1155,7 +1189,7 @@ let run_sops ~recycle ops =
   d
 
 let prop_slot_reuse_matches_fresh_slots =
-  QCheck.Test.make ~name:"slot reuse = fresh slots" ~count:500
+  QCheck.Test.make ~name:"slot reuse = fresh slots" ~count:500 ~long_factor:20
     (QCheck.make
        ~print:(fun l -> String.concat "; " (List.map show_sop l))
        QCheck.Gen.(list_size (0 -- 60) sop_gen))
@@ -1224,6 +1258,8 @@ let tests =
       wild_addresses_do_not_alias;
     Alcotest.test_case "free clears shadow" `Quick free_clears_shadow;
     Alcotest.test_case "dedup across cells" `Quick dedup_many_cells;
+    Alcotest.test_case "dedup before building the report" `Quick
+      dedup_before_build;
     Alcotest.test_case "contexts in reports" `Quick contexts_in_reports;
     Alcotest.test_case "suppressions" `Quick suppression;
     Alcotest.test_case "suppressions file format" `Quick suppressions_file_format;
