@@ -178,14 +178,6 @@ let static_musts r =
 
 let has_static_musts r = static_musts r <> []
 
-let static_proved r =
-  List.filter_map
-    (fun (k, v, d) ->
-      match v with
-      | Cudasim.Kernel.Proved_race -> Some (k, d)
-      | Cudasim.Kernel.Must_race | Cudasim.Kernel.May_race -> None)
-    r.static_races
-
 (* Human-readable cause for a captured rank failure, with the MPI error
    class / CUDA error name a real tool report would carry. *)
 let describe_exn = function

@@ -92,10 +92,6 @@ val static_musts : result -> (string * string) list
 
 val has_static_musts : result -> bool
 
-val static_proved : result -> (string * string) list
-(** [(kernel, description)] of the witness-validated races only; always
-    empty unless the run proved verdicts ([prove_static]). *)
-
 val run :
   ?nranks:int ->
   ?mode:Cudasim.Device.mode ->

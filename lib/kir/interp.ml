@@ -287,25 +287,6 @@ and block funcs slot = function
         s fr;
         rest fr
 
-let reaches_barrier m name =
-  let visited = Hashtbl.create 8 in
-  let rec func name =
-    if Hashtbl.mem visited name then false
-    else begin
-      Hashtbl.replace visited name ();
-      match Ir.find_func m name with
-      | None -> false
-      | Some f -> List.exists stmt f.Ir.body
-    end
-  and stmt = function
-    | Ir.Barrier -> true
-    | Ir.If (_, t, e) -> List.exists stmt t || List.exists stmt e
-    | Ir.For (_, _, _, body) -> List.exists stmt body
-    | Ir.Call (callee, _) -> func callee
-    | Ir.Store _ | Ir.Storei _ | Ir.Let _ -> false
-  in
-  func name
-
 (* Compile every function of [m]. A name resolves to its first
    definition, as [Ir.find_func] does; later duplicates are unreachable
    and left uncompiled. Bodies are compiled after every function has
@@ -319,7 +300,7 @@ let compile (m : Ir.modul) : (string, cfunc) Hashtbl.t =
         if Hashtbl.mem funcs f.Ir.fname then None
         else begin
           let cf =
-            { nslots = 0; body = ignore; barrier = reaches_barrier m f.Ir.fname }
+            { nslots = 0; body = ignore; barrier = Ir.reaches_barrier m f.Ir.fname }
           in
           Hashtbl.replace funcs f.Ir.fname cf;
           Some (f, cf)

@@ -48,6 +48,30 @@ type modul = {
 
 let find_func m name = List.find_opt (fun f -> f.fname = name) m.funcs
 
+(* Does calling [name] execute a [Barrier] on some path? One depth-first
+   walk over the call graph from [name], with its own visited set: a
+   function already on the walk adds nothing new, and the answer does
+   not depend on which functions were asked about before. An undefined
+   callee reaches no barrier. *)
+let reaches_barrier m name =
+  let visited = Hashtbl.create 8 in
+  let rec func name =
+    if Hashtbl.mem visited name then false
+    else begin
+      Hashtbl.replace visited name ();
+      match find_func m name with
+      | None -> false
+      | Some f -> List.exists stmt f.body
+    end
+  and stmt = function
+    | Barrier -> true
+    | If (_, t, e) -> List.exists stmt t || List.exists stmt e
+    | For (_, _, _, body) -> List.exists stmt body
+    | Call (callee, _) -> func callee
+    | Store _ | Storei _ | Let _ -> false
+  in
+  func name
+
 let binop_str = function
   | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
   | Min -> "min" | Max -> "max" | Lt -> "<" | Le -> "<="

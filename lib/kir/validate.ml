@@ -64,32 +64,6 @@ let rec uniform env (e : Ir.expr) : bool =
   | Binop (_, a, b) | Ptradd (a, b) -> uniform env a && uniform env b
   | Neg a | I2f a | F2i a -> uniform env a
 
-(* Does [name]'s body (transitively) execute a barrier? Memoized per
-   check_module run; recursion treated as barrier-free on the back-edge
-   (any barrier in the cycle is found on the spanning walk). *)
-let has_barrier m =
-  let memo : (string, bool) Hashtbl.t = Hashtbl.create 8 in
-  let rec func name =
-    match Hashtbl.find_opt memo name with
-    | Some b -> b
-    | None ->
-        Hashtbl.replace memo name false;
-        let b =
-          match Ir.find_func m name with
-          | None -> false
-          | Some f -> List.exists stmt f.Ir.body
-        in
-        Hashtbl.replace memo name b;
-        b
-  and stmt = function
-    | Ir.Barrier -> true
-    | Ir.If (_, t, e) -> List.exists stmt t || List.exists stmt e
-    | Ir.For (_, _, _, body) -> List.exists stmt body
-    | Ir.Call (callee, _) -> func callee
-    | Ir.Store _ | Ir.Storei _ | Ir.Let _ -> false
-  in
-  func
-
 (* [div] is true when control flow reaching this statement may be
    tid-divergent (a non-uniform condition or loop bound encloses it). *)
 let rec check_stmt (m : Ir.modul) barrier_in env ~div (s : Ir.stmt) =
@@ -147,7 +121,7 @@ let check_func m (f : Ir.func) =
       locals = Hashtbl.create 8;
     }
   in
-  let barrier_in = has_barrier m in
+  let barrier_in = Ir.reaches_barrier m in
   List.iter (check_stmt m barrier_in env ~div:false) f.Ir.body
 
 let check_module (m : Ir.modul) =

@@ -16,10 +16,17 @@
 exception Host_access_to_device of string
 exception Misaligned_address of string
 
-let check_host (p : Ptr.t) bytes =
-  Ptr.check p bytes;
+let check_host_space (p : Ptr.t) =
   if not (Space.host_accessible (Ptr.space p)) then
     raise (Host_access_to_device (Fmt.str "%a" Ptr.pp p))
+
+let check_host p bytes =
+  Ptr.check p bytes;
+  check_host_space p
+
+let check_host_elt p ~elt i =
+  Ptr.check_elt p ~elt i;
+  check_host_space p
 
 let f64_size = 8
 let f32_size = 4
@@ -76,23 +83,23 @@ let[@inline] store a pos n v =
 (* --- raw accessors: no hooks, no host/device policing ------------- *)
 
 let raw_get_f64 (p : Ptr.t) i =
-  Ptr.check p ((i + 1) * 8);
+  Ptr.check_elt p ~elt:8 i;
   let pos = p.Ptr.off + (i * 8) and a = p.Ptr.alloc.Alloc.data in
   if pos land 7 = 0 then Float.Array.get a (pos lsr 3)
   else Int64.float_of_bits (load a pos 8)
 
 let raw_set_f64 (p : Ptr.t) i v =
-  Ptr.check p ((i + 1) * 8);
+  Ptr.check_elt p ~elt:8 i;
   let pos = p.Ptr.off + (i * 8) and a = p.Ptr.alloc.Alloc.data in
   if pos land 7 = 0 then Float.Array.set a (pos lsr 3) v
   else store a pos 8 (Int64.bits_of_float v)
 
 let get_bits32 (p : Ptr.t) i =
-  Ptr.check p ((i + 1) * 4);
+  Ptr.check_elt p ~elt:4 i;
   Int64.to_int32 (load p.Ptr.alloc.Alloc.data (p.Ptr.off + (i * 4)) 4)
 
 let set_bits32 (p : Ptr.t) i b =
-  Ptr.check p ((i + 1) * 4);
+  Ptr.check_elt p ~elt:4 i;
   store p.Ptr.alloc.Alloc.data (p.Ptr.off + (i * 4)) 4 (Int64.of_int32 b)
 
 let raw_get_i32 p i = Int32.to_int (get_bits32 p i)
@@ -122,22 +129,22 @@ let f64_extent (p : Ptr.t) ~count =
 (* --- instrumented host accessors ----------------------------------- *)
 
 let get_f64 p i =
-  check_host p ((i + 1) * 8);
+  check_host_elt p ~elt:8 i;
   Hooks.fire_read (Ptr.add_bytes p (i * 8)) 8;
   raw_get_f64 p i
 
 let set_f64 p i v =
-  check_host p ((i + 1) * 8);
+  check_host_elt p ~elt:8 i;
   Hooks.fire_write (Ptr.add_bytes p (i * 8)) 8;
   raw_set_f64 p i v
 
 let get_i32 p i =
-  check_host p ((i + 1) * 4);
+  check_host_elt p ~elt:4 i;
   Hooks.fire_read (Ptr.add_bytes p (i * 4)) 4;
   raw_get_i32 p i
 
 let set_i32 p i v =
-  check_host p ((i + 1) * 4);
+  check_host_elt p ~elt:4 i;
   Hooks.fire_write (Ptr.add_bytes p (i * 4)) 4;
   raw_set_i32 p i v
 

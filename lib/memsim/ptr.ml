@@ -21,6 +21,15 @@ let check t bytes =
       (Out_of_bounds
          (Fmt.str "%a + %d..%d" Alloc.pp t.alloc t.off (t.off + bytes)))
 
+(* Element [i] of [elt] bytes: [check] covers its end, and a negative
+   [i] must not start it before the allocation. *)
+let check_elt t ~elt i =
+  check t ((i + 1) * elt);
+  let lo = t.off + (i * elt) in
+  if lo < 0 then
+    raise
+      (Out_of_bounds (Fmt.str "%a + %d..%d" Alloc.pp t.alloc lo (lo + elt)))
+
 let add_bytes t b = { t with off = t.off + b }
 
 (* Pointer arithmetic in elements of [elt] bytes. *)

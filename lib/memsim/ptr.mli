@@ -20,6 +20,14 @@ val check : t -> int -> unit
     @raise Alloc.Use_after_free
     @raise Out_of_bounds *)
 
+val check_elt : t -> elt:int -> int -> unit
+(** [check_elt p ~elt i] validates liveness and that element [i] of
+    [elt] bytes lies inside the allocation: [check p ((i + 1) * elt)],
+    and a negative [i] may not reach before its start.
+    @raise Alloc.Use_after_free
+    @raise Out_of_bounds naming the allocation and the element's byte
+    range *)
+
 val add_bytes : t -> int -> t
 
 val add : t -> elt:int -> int -> t

@@ -18,8 +18,10 @@
      saturated.
 
    - Durable result cache: ok verdicts are cached content-addressed by
-     the protocol's canonical job key and, under [--state DIR], written
-     through to an append-only checksummed journal ({!Journal}). A
+     the protocol's canonical job key, as the JSON text the miss's reply
+     carried, and, under [--state DIR], written through to an
+     append-only checksummed journal ({!Journal}). A hit sends the
+     cached text inside a fresh envelope, never re-serializing it. A
      committed verdict survives [kill -9]; restart replays the valid
      journal prefix back into the cache and truncates any torn tail.
      Correctness rests on engine determinism (crashes are never
@@ -120,7 +122,9 @@ type t = {
   jobs : (int, inflight) Hashtbl.t;
   mutable next_ticket : int;
   mutable in_flight : int;
-  cache : (string, Mjson.t) Hashtbl.t;
+  cache : (string, string) Hashtbl.t;
+      (* digest -> the verdict's JSON text: the only copy of a result the
+         daemon keeps, shared by hit frames, the journal and snapshots *)
   journal : Journal.t option;
   stats : stats;
   drain : bool Atomic.t;
@@ -198,6 +202,9 @@ let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let write_quietly fd j = try Protocol.write_frame fd j with Unix.Unix_error _ -> ()
 
+let write_bytes_quietly fd line =
+  try Protocol.write_frame_bytes fd line with Unix.Unix_error _ -> ()
+
 (* Does a result carry a stall verdict? (soak: outcome="stalled";
    bench: stalled=true) *)
 let result_stalled (j : Mjson.t) =
@@ -211,7 +218,9 @@ let result_stalled (j : Mjson.t) =
 
 (* Runs on a pool domain. Whatever happens — clean result, client
    mistake, wedge (already a verdict thanks to the watchdog), or an
-   exception — the slot is recycled and at most one reply is written. *)
+   exception — the slot is recycled and at most one reply is written.
+   An ok result is serialized once, outside the lock: the reply frame,
+   the cache entry and the journal frame all carry those bytes. *)
 let run_one t (ticket : int) (inf : inflight) ~cancelled =
   if cancelled () then ()
   else begin
@@ -223,12 +232,21 @@ let run_one t (ticket : int) (inf : inflight) ~cancelled =
       | exception e -> `Crash (e, Printexc.get_backtrace ())
     in
     let elapsed_s = Unix.gettimeofday () -. t0 in
+    let outcome =
+      match outcome with
+      | `Ok result ->
+          let text = Mjson.to_string result in
+          `Ok
+            ( text,
+              result_stalled result,
+              Protocol.ok_frame ~job:inf.digest ~elapsed_s text )
+      | (`Client_error _ | `Crash _) as o -> o
+    in
     Mutex.lock t.m;
     let reply =
       match outcome with
-      | `Ok result ->
+      | `Ok (result, stalled, frame) ->
           t.stats.served <- t.stats.served + 1;
-          let stalled = result_stalled result in
           if stalled then t.stats.stalled <- t.stats.stalled + 1;
           if
             t.cfg.cache_cap > 0
@@ -249,16 +267,18 @@ let run_one t (ticket : int) (inf : inflight) ~cancelled =
                 with e ->
                   log t "journal append failed: %s" (Printexc.to_string e))
           end;
-          Protocol.ok_reply ~job:inf.digest ~elapsed_s result
+          frame
       | `Client_error msg ->
           t.stats.client_errors <- t.stats.client_errors + 1;
-          Protocol.error_reply msg
+          Protocol.frame (Protocol.error_reply msg)
       | `Crash (e, bt) ->
           t.stats.crashed <- t.stats.crashed + 1;
-          Protocol.crashed_reply ~job:inf.digest ~error:(Printexc.to_string e)
-            ~backtrace:
-              (String.split_on_char '\n' bt
-              |> List.filter (fun l -> String.trim l <> ""))
+          Protocol.frame
+            (Protocol.crashed_reply ~job:inf.digest
+               ~error:(Printexc.to_string e)
+               ~backtrace:
+                 (String.split_on_char '\n' bt
+                 |> List.filter (fun l -> String.trim l <> "")))
     in
     let owns = not inf.replied in
     if owns then begin
@@ -268,7 +288,7 @@ let run_one t (ticket : int) (inf : inflight) ~cancelled =
     end;
     Mutex.unlock t.m;
     if owns then begin
-      write_quietly inf.fd reply;
+      write_bytes_quietly inf.fd reply;
       close_quietly inf.fd
     end;
     (match outcome with
@@ -332,7 +352,8 @@ let submit t fd (job : Protocol.job) =
       t.stats.served <- t.stats.served + 1;
       t.stats.cache_hits <- t.stats.cache_hits + 1;
       Mutex.unlock t.m;
-      write_quietly fd (Protocol.ok_reply ~cached:true ~job:digest ~elapsed_s:0. result);
+      write_bytes_quietly fd
+        (Protocol.ok_frame ~cached:true ~job:digest ~elapsed_s:0. result);
       close_quietly fd;
       log t "cache hit %s (%s)" digest (Protocol.job_describe job)
   | None ->

@@ -35,8 +35,11 @@ type lint_target = {
 }
 
 (* The kirlint universe: the app/example device modules plus the seeded
-   ground-truth corpus, addressable by the same ids kirlint prints. *)
-let lint_targets () =
+   ground-truth corpus, addressable by the same ids kirlint prints.
+   Built once at module initialization, from modules that already
+   exist, and only read afterwards, so every worker domain shares the
+   list and its lookup table. *)
+let lint_targets =
   let of_module suite (m : Kir.Ir.modul) =
     List.map
       (fun entry -> { id = suite ^ "/" ^ entry; m; entry; expect = None })
@@ -52,7 +55,12 @@ let lint_targets () =
           entry = e.Corpus.entry; expect = Some e.Corpus.expect })
       Corpus.all
 
-let lint_target_ids () = List.map (fun t -> t.id) (lint_targets ())
+let lint_by_id =
+  let t = Hashtbl.create 32 in
+  List.iter (fun l -> if not (Hashtbl.mem t l.id) then Hashtbl.add t l.id l) lint_targets;
+  t
+
+let lint_target_ids () = List.map (fun t -> t.id) lint_targets
 
 let lint_json (t : lint_target) : Mjson.t =
   let valid, races =
@@ -269,18 +277,14 @@ let run_job ?(watchdog = default_watchdog) (job : Protocol.job) :
   match job with
   | Protocol.Boom -> raise Chaos_drill
   | Protocol.Lint { target } -> (
-      match List.find_opt (fun t -> t.id = target) (lint_targets ()) with
+      match Hashtbl.find_opt lint_by_id target with
       | None ->
           Error
             (Printf.sprintf "no such lint target %S; known: %s" target
                (suggest (lint_target_ids ())))
       | Some t -> Ok (lint_json t))
   | Protocol.Soak { case; seed; faults } -> (
-      match
-        List.find_opt
-          (fun (c : Testsuite.Cases.case) -> c.Testsuite.Cases.name = case)
-          (Testsuite.Cases.all ())
-      with
+      match Testsuite.Cases.find case with
       | None ->
           Error
             (Printf.sprintf "no such testsuite case %S; known: %s" case

@@ -10,10 +10,12 @@
 
    [len] is the payload byte count, big-endian; [sum] is an Adler-32
    checksum of the payload. The payload is one Mjson object
-   [{"digest": hex, "result": verdict}]. A reader accepts a prefix of
-   valid frames and stops at the first torn or corrupt one — so a
-   [kill -9] mid-append costs at most the entry being written, never a
-   committed entry and never a corrupt verdict served later.
+   [{"digest": hex, "result": verdict}]; the store takes and returns
+   each verdict as its JSON text, which goes into the payload as it is.
+   A reader accepts a prefix of valid frames and stops at the first
+   torn or corrupt one — so a [kill -9] mid-append costs at most the
+   entry being written, never a committed entry and never a corrupt
+   verdict served later.
 
    Compaction folds journal + snapshot into a fresh snapshot written to
    a temp file, fsynced, and renamed into place before the journal is
@@ -68,11 +70,16 @@ let frame_of_payload (payload : string) : string =
   Buffer.add_string b payload;
   Buffer.contents b
 
-let entry_payload ~digest (result : Mjson.t) : string =
-  Mjson.to_string
-    (Mjson.Obj [ ("digest", Mjson.Str digest); ("result", result) ])
+let entry_payload ~digest (result : string) : string =
+  let b = Buffer.create (String.length result + 64) in
+  Mjson.to_buffer_obj b [ ("digest", Mjson.Str digest) ] ~last:("result", result);
+  Buffer.contents b
 
-let entry_of_payload (payload : string) : (string * Mjson.t) option =
+(* A payload is parsed whole, so a frame that is not valid JSON is
+   skipped, and its result is printed back to text: that is the payload
+   bytes of the result for every frame [entry_payload] wrote, and the
+   text a cache of trees would have served for any other. *)
+let entry_of_payload (payload : string) : (string * string) option =
   match Mjson.of_string payload with
   | Error _ -> None
   | Ok j -> (
@@ -80,7 +87,7 @@ let entry_of_payload (payload : string) : (string * Mjson.t) option =
         ( Mjson.member "digest" j |> Fun.flip Option.bind Mjson.to_str,
           Mjson.member "result" j )
       with
-      | Some digest, Some result -> Some (digest, result)
+      | Some digest, Some result -> Some (digest, Mjson.to_string result)
       | _ -> None)
 
 (* An upper bound on one frame's payload, to reject a corrupt length
@@ -92,8 +99,6 @@ type tail = Clean | Torn of string
 (* [Torn why] means the file carried trailing bytes that do not form a
    valid frame; a recovering reader keeps the valid prefix and
    truncates the rest (a crash mid-append, or tail corruption). *)
-
-let tail_to_string = function Clean -> "clean" | Torn why -> "torn: " ^ why
 
 (* Scan one file into its valid frame prefix. Returns the decoded
    payloads, the byte offset where validity ended, and why. *)
@@ -134,7 +139,7 @@ type t = {
 }
 
 type recovery = {
-  entries : (string * Mjson.t) list; (* last write per digest wins *)
+  entries : (string * string) list; (* last write per digest wins *)
   replayed : int;
   torn_tail : string option;
 }
@@ -198,7 +203,7 @@ let open_store ~dir : t * recovery =
     },
     r )
 
-let append t ~digest (result : Mjson.t) =
+let append t ~digest (result : string) =
   output_string t.oc (frame_of_payload (entry_payload ~digest result));
   (* Out of the process's buffers on every append: a kill -9 any time
      after [append] returns can cost at most a torn final frame, which
@@ -215,7 +220,7 @@ let torn_tail t = t.truncated
    temp file, fsync, rename over the old snapshot, then truncate the
    journal. See the header comment for why every crash window in this
    sequence is benign. *)
-let compact t ~(entries : (string * Mjson.t) list) =
+let compact t ~(entries : (string * string) list) =
   let tmp = snapshot_tmp t.dir in
   let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp in
   List.iter

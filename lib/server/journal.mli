@@ -1,6 +1,8 @@
 (** Durable result store for the cusand cache: an append-only journal
     of length-prefixed, Adler-32-checksummed Mjson frames plus a
-    periodic snapshot, under one state directory.
+    periodic snapshot, under one state directory. A verdict goes in and
+    comes out as its JSON text ([Mjson.to_string] of the result), the
+    form the daemon's cache holds it in.
 
     Crash contract: a committed entry ([append] returned) survives any
     subsequent [kill -9]; recovery accepts the valid frame prefix of
@@ -26,12 +28,13 @@ val frame_of_payload : string -> string
 (** One wire frame: 4-byte big-endian length, 4-byte big-endian
     Adler-32, payload (exposed for tests to craft hostile files). *)
 
-val entry_payload : digest:string -> Mjson.t -> string
-(** The Mjson payload of one cache entry frame. *)
+val entry_payload : digest:string -> string -> string
+(** [entry_payload ~digest text] is the payload of one cache entry
+    frame, [Mjson.to_string (Obj [("digest", Str digest); ("result", r)])]
+    for [text = Mjson.to_string r], built around [text] without parsing
+    it. *)
 
 type tail = Clean | Torn of string
-
-val tail_to_string : tail -> string
 
 val scan_file : string -> string list * int * tail
 (** Decode a file into its valid frame-payload prefix, the byte offset
@@ -42,9 +45,11 @@ type t
 (** An open store: journal held open for append. *)
 
 type recovery = {
-  entries : (string * Mjson.t) list;
-      (** committed (digest, result) pairs, snapshot first then journal,
-          last write per digest winning *)
+  entries : (string * string) list;
+      (** committed (digest, result text) pairs, snapshot first then
+          journal, last write per digest winning; a result is printed
+          back to compact text, so an entry written by {!append} comes
+          back byte for byte *)
   replayed : int;
   torn_tail : string option;  (** why the journal tail was truncated *)
 }
@@ -56,7 +61,7 @@ val recover : dir:string -> recovery
 val open_store : dir:string -> t * recovery
 (** Create [dir] if needed, recover, and open the journal for append. *)
 
-val append : t -> digest:string -> Mjson.t -> unit
+val append : t -> digest:string -> string -> unit
 (** Append one committed entry and flush it out of the process — after
     this returns, the entry survives [kill -9]. *)
 
@@ -66,7 +71,7 @@ val recovered_entries : t -> int
 
 val torn_tail : t -> string option
 
-val compact : t -> entries:(string * Mjson.t) list -> unit
+val compact : t -> entries:(string * string) list -> unit
 (** Fold the full committed state into a fresh snapshot (tmp → fsync →
     rename) and truncate the journal. *)
 

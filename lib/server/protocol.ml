@@ -134,16 +134,25 @@ let parse_request (line : string) : (request, string) result =
 
 (* --- replies ------------------------------------------------------------ *)
 
+let ok_envelope ~cached ~job ~elapsed_s =
+  [
+    ("schema", Mjson.Str schema);
+    ("status", Mjson.Str "ok");
+    ("job", Mjson.Str job);
+    ("cached", Mjson.Bool cached);
+    ("elapsed_s", Mjson.Float elapsed_s);
+  ]
+
 let ok_reply ?(cached = false) ~job ~elapsed_s result : Mjson.t =
-  Mjson.Obj
-    [
-      ("schema", Mjson.Str schema);
-      ("status", Mjson.Str "ok");
-      ("job", Mjson.Str job);
-      ("cached", Mjson.Bool cached);
-      ("elapsed_s", Mjson.Float elapsed_s);
-      ("result", result);
-    ]
+  Mjson.Obj (ok_envelope ~cached ~job ~elapsed_s @ [ ("result", result) ])
+
+(* The frame of [ok_reply] around a result already serialized, so a
+   verdict is serialized once however many replies carry it. *)
+let ok_frame ?(cached = false) ~job ~elapsed_s result =
+  let b = Buffer.create (String.length result + 160) in
+  Mjson.to_buffer_obj b (ok_envelope ~cached ~job ~elapsed_s) ~last:("result", result);
+  Buffer.add_char b '\n';
+  Buffer.contents b
 
 (* A reaped job: the worker caught whatever escaped the engine, the
    slot was recycled, and this is the job's tombstone — the daemon-level
@@ -215,6 +224,11 @@ let read_error_to_string = function
 let read_frame fd : (string, read_error) result =
   let buf = Buffer.create 512 in
   let chunk = Bytes.create 4096 in
+  let rec newline i n =
+    if i = n then None
+    else if Bytes.unsafe_get chunk i = '\n' then Some i
+    else newline (i + 1) n
+  in
   let rec go () =
     if Buffer.length buf > max_frame then Error (Oversized max_frame)
     else
@@ -223,13 +237,12 @@ let read_frame fd : (string, read_error) result =
           if Buffer.length buf = 0 then Error Closed
           else Error (Truncated (Buffer.contents buf))
       | n -> (
-          let s = Bytes.sub_string chunk 0 n in
-          match String.index_opt s '\n' with
+          match newline 0 n with
           | Some i ->
-              Buffer.add_string buf (String.sub s 0 i);
+              Buffer.add_subbytes buf chunk 0 i;
               Ok (Buffer.contents buf)
           | None ->
-              Buffer.add_string buf s;
+              Buffer.add_subbytes buf chunk 0 n;
               go ())
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -242,14 +255,20 @@ let read_frame fd : (string, read_error) result =
 (* Write one frame. Raises on a broken peer; callers treat that as the
    client having walked away (the job result is lost, the daemon is
    not). *)
-let write_frame fd (j : Mjson.t) =
-  let line = Mjson.to_string j ^ "\n" in
-  let b = Bytes.of_string line in
-  let len = Bytes.length b in
+let write_frame_bytes fd line =
+  let len = String.length line in
   let rec go off =
     if off < len then
-      match Unix.write fd b off (len - off) with
+      match Unix.write_substring fd line off (len - off) with
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
   go 0
+
+let frame (j : Mjson.t) =
+  let b = Buffer.create 1024 in
+  Mjson.to_buffer b j;
+  Buffer.add_char b '\n';
+  Buffer.contents b
+
+let write_frame fd j = write_frame_bytes fd (frame j)

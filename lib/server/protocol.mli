@@ -49,7 +49,6 @@ val job_describe : job -> string
 (** One-line human rendering for logs. *)
 
 val request_to_json : request -> Mjson.t
-val request_of_json : Mjson.t -> (request, string) result
 
 val parse_request : string -> (request, string) result
 (** Parse one frame body. Any failure (bad JSON, wrong schema, missing
@@ -57,6 +56,14 @@ val parse_request : string -> (request, string) result
 
 val ok_reply :
   ?cached:bool -> job:string -> elapsed_s:float -> Mjson.t -> Mjson.t
+
+val ok_frame :
+  ?cached:bool -> job:string -> elapsed_s:float -> string -> string
+(** [ok_frame ~job ~elapsed_s text] is the frame of an ok reply around a
+    result already serialized: for [text = Mjson.to_string r] it equals
+    [Mjson.to_string (ok_reply ~job ~elapsed_s r) ^ "\n"], so the daemon
+    serializes each verdict once and sends cache hits without
+    re-serializing it. *)
 
 val crashed_reply :
   job:string -> error:string -> backtrace:string list -> Mjson.t
@@ -89,3 +96,10 @@ val read_frame : Unix.file_descr -> (string, read_error) result
 val write_frame : Unix.file_descr -> Mjson.t -> unit
 (** Write one frame (appends the newline). Raises [Unix.Unix_error] on
     a broken peer. *)
+
+val frame : Mjson.t -> string
+(** The bytes of one frame: compact JSON and the newline. *)
+
+val write_frame_bytes : Unix.file_descr -> string -> unit
+(** Write a frame already serialized, its newline included (a {!frame}
+    or an {!ok_frame}). Raises like {!write_frame}. *)

@@ -402,7 +402,7 @@ let intra_kernel ~m ~entry ~alloc : R.app =
 
 let suffix = function Clean -> "" | Racy -> "_nok"
 
-let all () : case list =
+let build () : case list =
   let c2m =
     List.concat_map
       (fun isend ->
@@ -589,6 +589,25 @@ let all () : case list =
     ]
   in
   c2m @ m2c @ cuda_only @ legacy @ memset @ intra
+
+(* The matrix and its name table, built once per domain on the
+   domain's first use (as [Kir.Memo] keeps its caches), so a process
+   that never runs the matrix never builds it. A case is an immutable
+   record over a pure closure, so cases built on one domain run on any
+   other. A [Lazy] shared by all domains would not do: OCaml 5 raises
+   when two domains force one at once. *)
+let matrix =
+  Domain.DLS.new_key (fun () ->
+      let cases = build () in
+      let by_name = Hashtbl.create 128 in
+      List.iter
+        (fun c -> if not (Hashtbl.mem by_name c.name) then Hashtbl.add by_name c.name c)
+        cases;
+      (cases, by_name))
+
+let all () = fst (Domain.DLS.get matrix)
+
+let find name = Hashtbl.find_opt (snd (Domain.DLS.get matrix)) name
 
 (* --- sched-sensitive family ---------------------------------------------- *)
 

@@ -1,9 +1,6 @@
 (** [--trace FILE] support for binaries without their own option
     parser (the examples). *)
 
-val find_trace_arg : string array -> string option
-(** The value following the first "--trace" in [argv], if any. *)
-
 val setup : ?argv:string array -> unit -> unit
 (** When "--trace FILE" appears in [argv] (default [Sys.argv]): enable
     the recorder now and write the Chrome trace-event JSON to FILE at

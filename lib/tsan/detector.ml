@@ -243,8 +243,6 @@ let fiber_retire t f =
   if f.published >= 0 then
     t.free_slots <- List.merge compare [ (f.tid, f.published) ] t.free_slots
 
-let fiber_name f = f.name
-
 (* Push/pop a context label on the current fiber; stands in for TSan's
    func_entry/func_exit stack tracking. *)
 let push_context t label =

@@ -54,7 +54,6 @@ val fiber_retire : t -> fiber -> unit
     fiber retired before. *)
 
 val current_fiber : t -> fiber
-val fiber_name : fiber -> string
 
 val switch_to_fiber : t -> fiber -> unit
 (** Plain switch: no synchronization implied. *)

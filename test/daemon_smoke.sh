@@ -6,7 +6,9 @@
 #    artifact), never taking the daemon down;
 #  - the wedge resolves as a watchdog stalled verdict, not a hung
 #    worker;
-#  - the cache answers for a finished job with the same result bytes;
+#  - the cache answers for a finished lint, soak and spin job with the
+#    same result bytes (a hit frame around the cached verdict text; the
+#    soak case resolved through the case table);
 #  - the daemon answers a follow-up health check after both;
 #  - SIGTERM drains gracefully: the process exits 0 and flushes its
 #    final stats JSON.
@@ -50,11 +52,16 @@ if ! wait_healthy daemon-health-boot.json; then
   fail "daemon never became healthy"
 fi
 
-# 1. A healthy lint job is served.
+# 1. A healthy lint job and a matrix case are served.
 if ! "$cusanctl" --socket "$sock" lint jacobi/jacobi >daemon-lint.json; then
   fail "lint job failed"
 fi
 grep -q '"status":"ok"' daemon-lint.json || fail "lint reply not ok"
+soak_case=cuda-to-mpi/send_device_devicesync
+if ! "$cusanctl" --socket "$sock" soak "$soak_case" >daemon-soak.json; then
+  fail "soak job failed"
+fi
+grep -q '"status":"ok"' daemon-soak.json || fail "soak reply not ok"
 
 # 2. A deliberately crashing job is reaped into a post-mortem reply
 #    (exit 1 by the cusanctl contract), and the daemon survives.
@@ -72,16 +79,24 @@ fi
 grep -q '"outcome":"stalled"' daemon-stalled.json \
   || fail "wedged job did not resolve as a stalled verdict"
 
-# 4. The cache answers for the finished spin: re-submitting it yields a
-#    cached:true reply whose result bytes equal step 3's.
-if ! "$cusanctl" --socket "$sock" spin 1000000 >daemon-cached.json; then
-  fail "re-submitted spin job failed"
-fi
-grep -q '"cached":true' daemon-cached.json \
-  || fail "re-submitted spin was not answered from the cache"
+# 4. The cache answers for the finished jobs: re-submitting the spin,
+#    the lint and the soak yields cached:true replies whose result bytes
+#    equal the first replies'.
 result_of() { sed -e 's/.*"result"://' "$1"; }
-[ "$(result_of daemon-stalled.json)" = "$(result_of daemon-cached.json)" ] \
-  || fail "cached result bytes differ from the first reply"
+resubmit() {
+  local first=$1 again=$2
+  shift 2
+  if ! "$cusanctl" --socket "$sock" "$@" >"$again"; then
+    fail "re-submitted $* failed"
+  fi
+  grep -q '"cached":true' "$again" \
+    || fail "re-submitted $* was not answered from the cache"
+  [ "$(result_of "$first")" = "$(result_of "$again")" ] \
+    || fail "cached result bytes of $* differ from the first reply"
+}
+resubmit daemon-stalled.json daemon-cached.json spin 1000000
+resubmit daemon-lint.json daemon-lint-cached.json lint jacobi/jacobi
+resubmit daemon-soak.json daemon-soak-cached.json soak "$soak_case"
 
 # 5. After a crash and a wedge, the daemon still answers.
 if ! wait_healthy daemon-health-after.json 20; then
@@ -102,6 +117,6 @@ grep -q '"event":"drained"' daemon-drain-stats.json \
 [ -S "$sock" ] && fail "socket file not removed at drain"
 
 if [ "$status" -eq 0 ]; then
-  echo "daemon_smoke: lint + crash + wedge served, cache answered, drained cleanly"
+  echo "daemon_smoke: lint + soak + crash + wedge served, cache answered, drained cleanly"
 fi
 exit "$status"

@@ -1002,6 +1002,124 @@ let compiled_matches_reference_on_operators () =
         Alcotest.failf "%a differs" Ir.pp_expr e)
     exprs
 
+(* A load of p[-1] is out of bounds under both interpreters: the
+   allocation and the range are named, not an OCaml array-index error. *)
+let negative_index_out_of_bounds () =
+  let m = simple_module Dsl.[ store (p 0) (i 0) (load (p 0) (i (-1))) ] in
+  List.iter
+    (fun (what, run) ->
+      with_heap @@ fun () ->
+      let a = dev_alloc 2 in
+      match run m ~name:"k" ~args:[| Interp.VPtr a; VInt 1 |] ~grid:1 with
+      | () -> Alcotest.failf "%s: p[-1] loaded" what
+      | exception Memsim.Ptr.Out_of_bounds _ -> ())
+    [
+      ("compiled", fun m ~name ~args ~grid -> Interp.run_kernel m ~name ~args ~grid);
+      ("reference", fun m ~name ~args ~grid -> Reference.run_kernel m ~name ~args ~grid);
+    ]
+
+let divergent_barrier_call f = Printf.sprintf "tid-divergent call to %s, which executes a barrier" f
+
+(* [g -> h -> g] with a barrier in [g] after its call: [h] reaches that
+   barrier whichever function the validator asks about first. *)
+let validate_barrier_cycle_call_order () =
+  let cycle =
+    Dsl.
+      [
+        func "g" [ ptr "a" ] [ call "h" [ p 0 ]; barrier ];
+        func "h" [ ptr "a" ] [ call "g" [ p 0 ] ];
+      ]
+  in
+  let divergent_h = Dsl.(if_ (tid <. i 1) [ call "h" [ p 0 ] ] []) in
+  List.iter
+    (fun (what, body) ->
+      let m = Dsl.(modul ~kernels:[ "k" ] (func "k" [ ptr "a"; scalar "n" ] body :: cycle)) in
+      match Validate.check_module m with
+      | () -> Alcotest.failf "%s: divergent call to h accepted" what
+      | exception Validate.Invalid msg ->
+          Alcotest.(check string) what (divergent_barrier_call "h") msg)
+    [
+      ("after a call to g", Dsl.[ call "g" [ p 0 ]; divergent_h ]);
+      ("alone", [ divergent_h ]);
+    ]
+
+(* The validator's "executes a barrier" flag for every function of a
+   random module equals the reference interpreter's barrier walk. The
+   module is one of [gen_diff_module]'s plus [g] and [h], which call each
+   other, [helper] and [rec] and hold barriers anywhere. A probe, checked
+   first, makes uniform calls in random order, so whatever the validator
+   computed for them is at hand, and then calls [f] under [tid < 1]:
+   the validator rejects exactly that call iff its flag for [f] is set. *)
+let prop_validator_barrier_flag =
+  let open Ir in
+  let args params = List.map (fun (_, ty) -> if ty = Pointer then Param 0 else Int 1) params in
+  let gen =
+    QCheck.Gen.(
+      let call_to =
+        frequency
+          [
+            (3, return (Call ("g", [ Param 0 ])));
+            (3, return (Call ("h", [ Param 0 ])));
+            (1, return (Call ("rec", [ Param 0; Int 1 ])));
+            (1, return (Call ("helper", [ Param 0; Param 0; Int 1 ])));
+          ]
+      in
+      let stmt =
+        frequency
+          [
+            (2, return Barrier);
+            (5, call_to);
+            (1, return (Store (Param 0, Int 0, Flt 1.)));
+            (2, map (fun c -> If (Int 1, [ c ], [])) call_to);
+          ]
+      in
+      let first = frequency [ (3, oneofl [ "g"; "h" ]); (1, oneofl [ "k"; "helper"; "rec" ]) ] in
+      map3
+        (fun m (g, h) order -> (m, g, h, order))
+        gen_diff_module
+        (pair (list_size (0 -- 3) stmt) (list_size (0 -- 3) stmt))
+        (list_size (0 -- 3) first))
+  in
+  QCheck.Test.make ~name:"validator barrier flag = reference" ~count:1000 ~long_factor:20
+    (QCheck.make
+       ~print:(fun (m, g, h, order) ->
+         Fmt.str "first %s@.%a" (String.concat "," order)
+           (Fmt.list ~sep:Fmt.cut Ir.pp_func)
+           ({ fname = "g"; params = [ ("a", Pointer) ]; body = g }
+           :: { fname = "h"; params = [ ("a", Pointer) ]; body = h }
+           :: m.funcs))
+       gen)
+    (fun (m, g, h, order) ->
+      let funcs =
+        { fname = "g"; params = [ ("a", Pointer) ]; body = g }
+        :: { fname = "h"; params = [ ("a", Pointer) ]; body = h }
+        :: m.funcs
+      in
+      let call_of name =
+        let f = Option.get (List.find_opt (fun f -> f.fname = name) funcs) in
+        Call (name, args f.params)
+      in
+      List.for_all
+        (fun (f : func) ->
+          let probe =
+            {
+              fname = "probe";
+              params = [ ("a", Pointer) ];
+              body =
+                List.map call_of order
+                @ [ If (Binop (Lt, Tid, Int 1), [ call_of f.fname ], []) ];
+            }
+          in
+          let m' = { m with funcs = probe :: funcs } in
+          let flag =
+            match Validate.check_module m' with
+            | exception Validate.Invalid msg -> msg = divergent_barrier_call f.fname
+            | () -> false
+          in
+          flag = Reference.module_has_barrier m' f.fname
+          && flag = Ir.reaches_barrier m' f.fname)
+        funcs)
+
 let tests =
   [
     Alcotest.test_case "validator accepts well-formed" `Quick validate_ok;
@@ -1021,6 +1139,9 @@ let tests =
     Alcotest.test_case "validator: missing kernel" `Quick validate_missing_kernel;
     Alcotest.test_case "validator: loop var scalar" `Quick
       validate_loop_var_is_scalar;
+    Alcotest.test_case "validator: barrier cycle, any call order" `Quick
+      validate_barrier_cycle_call_order;
+    QCheck_alcotest.to_alcotest prop_validator_barrier_flag;
     Alcotest.test_case "interp: store per tid" `Quick interp_store_per_tid;
     Alcotest.test_case "interp: arithmetic" `Quick interp_arith;
     Alcotest.test_case "interp: loop sum" `Quick interp_loop_sum;
@@ -1031,6 +1152,8 @@ let tests =
       interp_device_fault;
     Alcotest.test_case "interp: managed ok" `Quick interp_managed_ok;
     Alcotest.test_case "interp: out of bounds" `Quick interp_oob;
+    Alcotest.test_case "interp: negative index out of bounds" `Quick
+      negative_index_out_of_bounds;
     Alcotest.test_case "interp: div by zero" `Quick interp_div_by_zero;
     Alcotest.test_case "interp: undefined kernel" `Quick interp_undefined_kernel;
     Alcotest.test_case "interp: tracer footprint" `Quick interp_tracer_footprint;

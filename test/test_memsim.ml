@@ -61,6 +61,40 @@ let out_of_bounds () =
   | () -> Alcotest.fail "negative offset must raise"
   | exception Ptr.Out_of_bounds _ -> ()
 
+(* An element before the start of its allocation is out of bounds too,
+   named with the allocation and the element's byte range, not an OCaml
+   array-index error. *)
+let negative_index () =
+  with_clean @@ fun () ->
+  let base = Heap.alloc ~tag:"buf" Space.Device 32 in
+  let raises what lo hi f =
+    match f () with
+    | _ -> Alcotest.failf "%s must raise" what
+    | exception Ptr.Out_of_bounds msg ->
+        let has sub =
+          let n = String.length msg and m = String.length sub in
+          let rec at i = i + m <= n && (String.sub msg i m = sub || at (i + 1)) in
+          at 0
+        in
+        Alcotest.(check bool) (what ^ " names the allocation: " ^ msg) true (has "buf#");
+        Alcotest.(check bool)
+          (what ^ " names the range: " ^ msg)
+          true
+          (has (Printf.sprintf " + %d..%d" lo hi))
+  in
+  raises "raw_get_f64 base (-1)" (-8) 0 (fun () -> Access.raw_get_f64 base (-1));
+  raises "raw_get_i32 base (-1)" (-4) 0 (fun () -> Access.raw_get_i32 base (-1));
+  raises "raw_get_f64 (base+16) (-3)" (-8) 0 (fun () ->
+      Access.raw_get_f64 (Ptr.add_bytes base 16) (-3));
+  raises "raw_set_f64 base (-1)" (-8) 0 (fun () -> Access.raw_set_f64 base (-1) 0.);
+  raises "raw_set_i32 base (-2)" (-8) (-4) (fun () -> Access.raw_set_i32 base (-2) 0);
+  let host = Heap.alloc ~tag:"buf" Space.Host_pageable 16 in
+  raises "get_f64 host (-1)" (-8) 0 (fun () -> Access.get_f64 host (-1));
+  (* the element just before the pointer, inside the allocation, is fine *)
+  Access.raw_set_f64 base 1 2.5;
+  Alcotest.(check (float 0.)) "in-bounds negative index" 2.5
+    (Access.raw_get_f64 (Ptr.add_bytes base 16) (-1))
+
 let use_after_free () =
   with_clean @@ fun () ->
   let p = Heap.alloc Space.Host_pageable 8 in
@@ -487,6 +521,7 @@ let tests =
       managed_host_deref_allowed;
     Alcotest.test_case "raw access ignores space" `Quick raw_access_ignores_space;
     Alcotest.test_case "out of bounds" `Quick out_of_bounds;
+    Alcotest.test_case "negative index out of bounds" `Quick negative_index;
     Alcotest.test_case "use after free" `Quick use_after_free;
     Alcotest.test_case "double free" `Quick double_free;
     Alcotest.test_case "interior free rejected" `Quick interior_free_rejected;

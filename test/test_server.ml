@@ -214,6 +214,46 @@ let engine_rejects_unknown () =
   check_err (P.Bench { app = "no-such"; flavor = "cusan" }) "known:";
   check_err (P.Bench { app = "jacobi"; flavor = "warp9" }) "flavor"
 
+(* Soak jobs resolve through the matrix built once per domain, lint
+   jobs through a table; an unknown id gets the same error text as
+   before the tables. *)
+let engine_lookup () =
+  let cases = Testsuite.Cases.all () in
+  Alcotest.(check int) "88 cases" 88 (List.length cases);
+  Alcotest.(check bool) "the matrix is built once per domain" true
+    (Testsuite.Cases.all () == cases);
+  List.iter
+    (fun (c : Testsuite.Cases.case) ->
+      match Testsuite.Cases.find c.Testsuite.Cases.name with
+      | Some found ->
+          Alcotest.(check bool) (c.Testsuite.Cases.name ^ " resolves to its case") true
+            (found == c)
+      | None -> Alcotest.failf "%s does not resolve" c.Testsuite.Cases.name)
+    cases;
+  let error job =
+    match E.run_job job with
+    | Error m -> m
+    | Ok _ -> Alcotest.failf "%s unexpectedly succeeded" (P.job_describe job)
+  in
+  Alcotest.(check string) "unknown lint target"
+    "no such lint target \"no/such\"; known: jacobi/jacobi, jacobi/init, jacobi/norm, \
+     tealeaf/tl_init, tealeaf/tl_copy, tealeaf/tl_matvec, tealeaf/tl_cg_init, \
+     tealeaf/tl_dot, ... (26 total)"
+    (error (P.Lint { target = "no/such" }));
+  Alcotest.(check string) "unknown case"
+    "no such testsuite case \"no/such\"; known: cuda-to-mpi/send_device_devicesync, \
+     cuda-to-mpi/send_device_streamsync, cuda-to-mpi/send_device_eventsync, \
+     cuda-to-mpi/send_device_queryloop, cuda-to-mpi/send_device_eventqueryloop, \
+     cuda-to-mpi/send_device_freesync, cuda-to-mpi/send_device_memcpyimplicit, \
+     cuda-to-mpi/send_device_nosync_nok, ... (88 total)"
+    (error (P.Soak { case = "no/such"; seed = 0; faults = None }));
+  (* every target id resolves, to a verdict about that id *)
+  List.iter
+    (fun target ->
+      Alcotest.(check (option string)) target (Some target)
+        (member_str "name" (run_ok (P.Lint { target }))))
+    (E.lint_target_ids ())
+
 let engine_boom_raises () =
   match E.run_job P.Boom with
   | exception E.Chaos_drill -> ()
@@ -337,10 +377,12 @@ let in_state_dir f =
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
-let entry_frame digest v = J.frame_of_payload (J.entry_payload ~digest v)
+let entry_frame digest v = J.frame_of_payload (J.entry_payload ~digest (mstr v))
 
-let assoc_int digest entries =
-  Option.bind (List.assoc_opt digest entries) Mjson.to_int
+(* The store holds verdicts as JSON text. *)
+let text_int text = Option.bind (Result.to_option (Mjson.of_string text)) Mjson.to_int
+
+let assoc_int digest entries = Option.bind (List.assoc_opt digest entries) text_int
 
 let journal_empty () =
   in_state_dir (fun dir ->
@@ -352,9 +394,9 @@ let journal_roundtrip_last_wins () =
   in_state_dir (fun dir ->
       let st, r0 = J.open_store ~dir in
       Alcotest.(check int) "fresh store replays nothing" 0 r0.J.replayed;
-      J.append st ~digest:"a" (Mjson.Int 1);
-      J.append st ~digest:"b" (Mjson.Int 2);
-      J.append st ~digest:"a" (Mjson.Int 3);
+      J.append st ~digest:"a" "1";
+      J.append st ~digest:"b" "2";
+      J.append st ~digest:"a" "3";
       Alcotest.(check int) "appends counted" 3 (J.appended_since_compact st);
       J.close st;
       let r = J.recover ~dir in
@@ -389,7 +431,7 @@ let journal_torn_tail_truncated () =
         r2.J.torn_tail;
       (* and the next append lands after the last committed frame *)
       let st, _ = J.open_store ~dir in
-      J.append st ~digest:"d" (Mjson.Int 4);
+      J.append st ~digest:"d" "4";
       J.close st;
       let r3 = J.recover ~dir in
       Alcotest.(check int) "append after truncation recovers" 3
@@ -446,16 +488,16 @@ let journal_snapshot_then_journal () =
 let journal_compact_preserves () =
   in_state_dir (fun dir ->
       let st, _ = J.open_store ~dir in
-      J.append st ~digest:"a" (Mjson.Int 1);
-      J.append st ~digest:"b" (Mjson.Int 2);
-      J.append st ~digest:"a" (Mjson.Int 9);
-      J.compact st ~entries:[ ("a", Mjson.Int 9); ("b", Mjson.Int 2) ];
+      J.append st ~digest:"a" "1";
+      J.append st ~digest:"b" "2";
+      J.append st ~digest:"a" "9";
+      J.compact st ~entries:[ ("a", "9"); ("b", "2") ];
       Alcotest.(check int) "append counter reset" 0
         (J.appended_since_compact st);
       Alcotest.(check int) "journal truncated" 0
         (Unix.stat (J.journal_file dir)).Unix.st_size;
       (* appends after compaction land in the fresh journal *)
-      J.append st ~digest:"c" (Mjson.Int 7);
+      J.append st ~digest:"c" "7";
       J.close st;
       let r = J.recover ~dir in
       Alcotest.(check int) "snapshot + fresh journal" 3
@@ -504,7 +546,7 @@ let prop_journal_crash_point =
           List.length r.J.entries = Hashtbl.length expected
           && List.for_all
                (fun (dg, j) ->
-                 match (Mjson.to_int j, Hashtbl.find_opt expected dg) with
+                 match (text_int j, Hashtbl.find_opt expected dg) with
                  | Some v, Some v' -> v = v'
                  | _ -> false)
                r.J.entries))
@@ -544,8 +586,9 @@ let connect path =
      raise e);
   fd
 
-(* One full request/reply exchange. *)
-let rpc path req =
+(* One full request/reply exchange, returning the reply frame's bytes
+   (newline stripped). *)
+let rpc_line path req =
   let fd = connect path in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -553,10 +596,14 @@ let rpc path req =
       P.write_frame fd (P.request_to_json req);
       match P.read_frame fd with
       | Error e -> Alcotest.failf "rpc read: %s" (P.read_error_to_string e)
-      | Ok line -> (
-          match Mjson.of_string line with
-          | Error m -> Alcotest.failf "rpc reply does not parse: %s" m
-          | Ok j -> j))
+      | Ok line -> line)
+
+let parse line =
+  match Mjson.of_string line with
+  | Error m -> Alcotest.failf "rpc reply does not parse: %s" m
+  | Ok j -> j
+
+let rpc path req = parse (rpc_line path req)
 
 (* Send raw bytes (optionally torn: no newline, half a frame) and read
    whatever the daemon answers. *)
@@ -798,6 +845,117 @@ let daemon_durable_restart () =
       Alcotest.(check int) "one entry replayed" 1 stats2.D.replayed;
       Alcotest.(check int) "recovered hit counted" 1 stats2.D.cache_hits)
 
+(* --- daemon: reply, journal and snapshot bytes ----------------------------
+   The cache holds a verdict as the JSON text of its miss reply; every
+   frame built around that text must equal the frame the tree would
+   have printed, so clients and existing state directories see the same
+   bytes. *)
+
+let frame_jobs =
+  [
+    P.Lint { target = "jacobi/jacobi" };
+    P.Soak { case = "cuda-to-mpi/send_device_devicesync"; seed = 3; faults = None };
+    P.Bench { app = "pingpong"; flavor = "cusan" };
+  ]
+
+let entry_json digest result =
+  mstr (Mjson.Obj [ ("digest", Mjson.Str digest); ("result", result) ])
+
+(* [ok_frame] around a verdict's text is the frame of [ok_reply] around
+   its tree, for every job kind, cached or not. *)
+let ok_frame_matches_tree () =
+  List.iter
+    (fun job ->
+      let result = run_ok job and job = P.job_digest job in
+      List.iter
+        (fun (cached, elapsed_s) ->
+          Alcotest.(check string)
+            (Fmt.str "%s cached=%b elapsed=%g" job cached elapsed_s)
+            (mstr (P.ok_reply ~cached ~job ~elapsed_s result) ^ "\n")
+            (P.ok_frame ~cached ~job ~elapsed_s (mstr result)))
+        [ (true, 0.); (false, 0.); (false, 1.25e-4); (false, 3.) ];
+      Alcotest.(check string) (job ^ " journal payload") (entry_json job result)
+        (J.entry_payload ~digest:job (mstr result)))
+    frame_jobs
+
+(* Submit [job] twice: the miss reply carries the engine's bytes (a
+   bench cell is timed, so it is held to its own hit only) and the hit
+   frame is the reply tree built here. Returns the served result. *)
+let miss_then_hit path job =
+  let digest = P.job_digest job in
+  let miss = rpc_line path (P.Submit job) in
+  let reply = parse miss in
+  let result = Option.get (Mjson.member "result" reply) in
+  (match job with
+  | P.Bench _ -> ()
+  | _ ->
+      let elapsed_s = Option.get (Option.bind (Mjson.member "elapsed_s" reply) Mjson.to_float) in
+      Alcotest.(check string)
+        (P.job_describe job ^ ": miss reply")
+        (mstr (P.ok_reply ~job:digest ~elapsed_s (run_ok job)))
+        miss);
+  Alcotest.(check string)
+    (P.job_describe job ^ ": hit frame")
+    (mstr (P.ok_reply ~cached:true ~job:digest ~elapsed_s:0. result))
+    (rpc_line path (P.Submit job));
+  (digest, result)
+
+(* Miss, hit, journal and snapshot bytes of a lint, a soak and a bench
+   job, each against the frame of a tree built here. *)
+let daemon_frames_byte_identical () =
+  in_state_dir (fun dir ->
+      let served, stats =
+        with_daemon
+          ~cfg:(fun c -> { c with D.state_dir = Some dir })
+          (fun path _t ->
+            let served = List.map (miss_then_hit path) frame_jobs in
+            (* each miss was journalled before its reply left *)
+            let journal, _, _ = J.scan_file (J.journal_file dir) in
+            Alcotest.(check (list string)) "journal payloads"
+              (List.map (fun (d, r) -> entry_json d r) served)
+              journal;
+            served)
+      in
+      Alcotest.(check int) "one hit per job" 3 stats.D.cache_hits;
+      (* the drain compacted the journal into a snapshot of the same
+         entries, in digest order *)
+      Alcotest.(check string) "snapshot frames"
+        (String.concat ""
+           (List.map
+              (fun (d, r) -> J.frame_of_payload (entry_json d r))
+              (List.sort (fun (a, _) (b, _) -> compare a b) served)))
+        (In_channel.with_open_bin (J.snapshot_file dir) In_channel.input_all))
+
+(* A state directory in the frame format of a cache of trees (snapshot
+   and journal both) replays into hits with the bytes that cache sent,
+   and a restart serves the bytes the daemon sent before it. *)
+let daemon_replays_state_dir () =
+  in_state_dir (fun dir ->
+      let results = List.map (fun job -> (P.job_digest job, run_ok job)) frame_jobs in
+      let frames entries =
+        String.concat ""
+          (List.map (fun (d, r) -> J.frame_of_payload (entry_json d r)) entries)
+      in
+      (match results with
+      | first :: rest ->
+          write_file (J.snapshot_file dir) (frames [ first ]);
+          write_file (J.journal_file dir) (frames rest)
+      | [] -> ());
+      let hits () =
+        fst
+          (with_daemon
+             ~cfg:(fun c -> { c with D.state_dir = Some dir })
+             (fun path _t -> List.map (fun job -> rpc_line path (P.Submit job)) frame_jobs))
+      in
+      let before = hits () in
+      List.iter2
+        (fun (digest, result) line ->
+          Alcotest.(check string) (digest ^ ": replayed hit")
+            (mstr (P.ok_reply ~cached:true ~job:digest ~elapsed_s:0. result))
+            line)
+        results before;
+      Alcotest.(check (list string)) "hits after a restart" before (hits ()))
+
 (* --- chaos acceptance ---------------------------------------------------
    Across 10 seeds, a job mix where >= 30% of jobs crash (boom) or
    wedge (spin): the daemon must serve every remaining job with replies
@@ -910,6 +1068,7 @@ let () =
         [
           Alcotest.test_case "deterministic results" `Quick engine_deterministic;
           Alcotest.test_case "unknown ids rejected" `Quick engine_rejects_unknown;
+          Alcotest.test_case "case and target lookup" `Quick engine_lookup;
           Alcotest.test_case "boom raises" `Quick engine_boom_raises;
           Alcotest.test_case "spin stalls at budget" `Quick engine_spin_stalls;
         ] );
@@ -949,6 +1108,12 @@ let () =
             daemon_drain_cancels_stragglers;
           Alcotest.test_case "durable restart serves identical bytes" `Quick
             daemon_durable_restart;
+          Alcotest.test_case "ok frame = frame of the reply tree" `Quick
+            ok_frame_matches_tree;
+          Alcotest.test_case "reply and snapshot frames byte-identical" `Quick
+            daemon_frames_byte_identical;
+          Alcotest.test_case "state directory replays into identical hits" `Quick
+            daemon_replays_state_dir;
         ] );
       ("chaos", [ Alcotest.test_case "acceptance" `Slow daemon_chaos_acceptance ]);
     ]
