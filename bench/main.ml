@@ -14,78 +14,44 @@
    pollutes a measurement. --json FILE writes a "cusan-bench/1" document
    with the fig10/fig12 overhead ratios — the input of benchdiff. *)
 
-let usage () =
-  Fmt.pr
-    "usage: main.exe [--quick] [-j N] [--json FILE] [--trace FILE]@.\
-    \       [fig10|fig11|table1|fig12|suite|ablation|micro]...@."
-
-let die msg =
-  Fmt.epr "bench: %s@." msg;
-  usage ();
-  exit 2
-
-type opts = {
-  quick : bool;
-  jobs : int;
-  json_out : string option;
-  trace_out : string option;
-  targets : string list;
-}
-
-let parse_args argv =
-  let rec go acc = function
-    | [] -> { acc with targets = List.rev acc.targets }
-    | "--help" :: _ | "-h" :: _ ->
-        usage ();
-        exit 0
-    | "--quick" :: rest -> go { acc with quick = true } rest
-    | "-j" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 0 -> go { acc with jobs = n } rest
-        | Some _ -> die "-j expects a non-negative integer"
-        | None -> die (Fmt.str "-j expects an integer, got %S" v))
-    | [ "-j" ] -> die "-j requires a value"
-    | "--json" :: v :: rest when not (String.length v > 0 && v.[0] = '-') ->
-        go { acc with json_out = Some v } rest
-    | [ "--json" ] | "--json" :: _ -> die "--json requires a file name"
-    | "--trace" :: v :: rest when not (String.length v > 0 && v.[0] = '-') ->
-        go { acc with trace_out = Some v } rest
-    | [ "--trace" ] | "--trace" :: _ -> die "--trace requires a file name"
-    | t :: rest -> go { acc with targets = t :: acc.targets } rest
-  in
-  go
-    { quick = false; jobs = 1; json_out = None; trace_out = None; targets = [] }
-    argv
+let targets = [ "fig10"; "fig11"; "table1"; "fig12"; "suite"; "ablation"; "micro" ]
 
 let () =
-  let o = parse_args (List.tl (Array.to_list Sys.argv)) in
-  let wanted =
-    if o.targets = [] then
-      [ "fig10"; "fig11"; "table1"; "fig12"; "suite"; "ablation"; "micro" ]
-    else o.targets
-  in
-  List.iter
-    (fun t ->
-      if
-        not
-          (List.mem t
-             [ "fig10"; "fig11"; "table1"; "fig12"; "suite"; "ablation"; "micro" ])
-      then die (Fmt.str "unknown target %S" t))
-    wanted;
-  let jobs = if o.jobs = 0 then Pool.default_workers () else o.jobs in
+  let quick = ref false
+  and jobs = ref 1
+  and json_out = ref None
+  and wanted = ref [] in
+  Trace.Cli.parse ~prog:"bench"
+    ~usage:
+      ("usage: main.exe [options] [TARGET]...\n\n\
+        TARGET: " ^ String.concat "|" targets ^ " (default: all)\n\n\
+        options:")
+    ~anon:(fun t ->
+      if List.mem t targets then wanted := !wanted @ [ t ]
+      else raise (Arg.Bad (Fmt.str "unknown target %S" t)))
+    [
+      ("--quick", Arg.Set quick, " smaller sizes, fewer repeats");
+      Trace.Cli.workers ~min:0 "-j"
+        (fun n -> jobs := n)
+        "N shard cells over N worker domains (0 = one per core)";
+      Trace.Cli.string "--json" json_out
+        "FILE write the overhead ratios as JSON (schema cusan-bench/1)";
+      Trace.Cli.trace;
+    ];
+  let wanted = if !wanted = [] then targets else !wanted in
+  let jobs = if !jobs = 0 then Pool.default_workers () else !jobs in
   (* The flight recorder is domain-local, so traced runs are sequential
      (timed sections are exclusively-held either way). *)
   let jobs =
-    if o.trace_out <> None && jobs > 1 then begin
+    if Trace.Cli.tracing () && jobs > 1 then begin
       Fmt.epr "bench: --trace forces -j 1 (recorder is domain-local)@.";
       1
     end
     else jobs
   in
-  if o.trace_out <> None then Trace.Recorder.enable ();
-  let sz = if o.quick then Figs.quick_sizes else Figs.default_sizes in
+  let sz = if !quick then Figs.quick_sizes else Figs.default_sizes in
   Fmt.pr "CuSan reproduction benchmark harness%s%s@."
-    (if o.quick then " (quick sizes)" else "")
+    (if !quick then " (quick sizes)" else "")
     (if jobs > 1 then Fmt.str " (%d workers)" jobs else "");
   Fmt.pr "Jacobi %dx%d x%d iters, TeaLeaf %dx%d x%d steps x%d CG, %d repeats@."
     sz.Figs.jacobi_nx sz.Figs.jacobi_ny sz.Figs.jacobi_iters sz.Figs.tealeaf_nx
@@ -126,7 +92,7 @@ let () =
                 vs
           | _ -> assert false)
         wanted);
-  (match o.json_out with
+  (match !json_out with
   | None -> ()
   | Some path ->
       let open Reporting.Mjson in
@@ -207,7 +173,7 @@ let () =
         Obj
           ([
              ("schema", Str "cusan-bench/1");
-             ("quick", Bool o.quick);
+             ("quick", Bool !quick);
              ("workers", Int jobs);
            ]
           @ fig10_json @ fig11_json @ fig12_json @ suite_json @ micro_json)
@@ -217,11 +183,4 @@ let () =
         ~finally:(fun () -> close_out oc)
         (fun () -> output_string oc (to_string_pretty doc));
       Fmt.pr "@.wrote %s@." path);
-  (match o.trace_out with
-  | None -> ()
-  | Some path ->
-      let events = Trace.Recorder.events () in
-      Trace.Chrome.write_file path events;
-      Fmt.epr "trace: wrote %s (%d events, %d dropped)@." path
-        (List.length events) (Trace.Recorder.dropped ()));
   Fmt.pr "@.done.@."

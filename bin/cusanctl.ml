@@ -25,122 +25,58 @@ let default_socket =
    scaled by the daemon's latest retry_after hint. *)
 let quantum = 0.005
 
-let usage () =
-  Fmt.pr
-    "usage: cusanctl [options] COMMAND@.@.\
-     commands:@.\
-    \  lint TARGET                static race lint of one kirlint target@.\
-    \  soak CASE                  run one matrix case (see --faults/--fault-seed)@.\
-    \  bench APP FLAVOR           run one bench cell (pingpong|jacobi|tealeaf)@.\
-    \  bench                      sustained campaign: --jobs deterministic@.\
-    \                             lint/soak jobs, every verdict verified@.\
-    \                             byte-for-byte against a local run@.\
-    \  boom                       chaos drill: crash a worker on purpose@.\
-    \  spin STEPS                 wedge drill: occupy a worker until the@.\
-    \                             step-budget watchdog fires@.\
-    \  health                     liveness + queue depth@.\
-    \  stats                      daemon counters@.\
-    \  shutdown                   request a graceful drain@.@.\
-     options:@.\
-    \  --socket PATH     daemon socket (default %s)@.\
-    \  --faults SPEC     fault plan for soak (cutests --faults grammar)@.\
-    \  --fault-seed N    fault-plan seed for soak (default 0)@.\
-    \  --seed N          backoff jitter seed (default 1)@.\
-    \  --retries N       max attempts against busy/absent daemon (default 6)@.\
-    \  --jobs N          campaign length for bare bench (default 25)@.\
-    \  --recheck         campaign: re-submit every distinct job afterwards@.\
-    \                    and require a byte-identical cached:true reply@.@.\
-     exit codes: 0 ok, 1 job crashed or campaign verdict mismatch (post-mortem@.\
-     printed), 2 client/protocol error, 3 daemon unreachable or still busy@.\
-     after all retries@."
-    default_socket
+let usage =
+  "usage: cusanctl [options] COMMAND\n\n\
+   commands:\n\
+  \  lint TARGET                static race lint of one kirlint target\n\
+  \  soak CASE                  run one matrix case (see --faults/--fault-seed)\n\
+  \  bench APP FLAVOR           run one bench cell (pingpong|jacobi|tealeaf)\n\
+  \  bench                      sustained campaign: --jobs deterministic\n\
+  \                             lint/soak jobs, every verdict verified\n\
+  \                             byte-for-byte against a local run\n\
+  \  boom                       chaos drill: crash a worker on purpose\n\
+  \  spin STEPS                 wedge drill: occupy a worker until the\n\
+  \                             step-budget watchdog fires\n\
+  \  health                     liveness + queue depth\n\
+  \  stats                      daemon counters\n\
+  \  shutdown                   request a graceful drain\n\n\
+   exit codes: 0 ok, 1 job crashed or campaign verdict mismatch (post-mortem\n\
+   printed), 2 client/protocol error, 3 daemon unreachable or still busy\n\
+   after all retries\n\n\
+   options:"
 
-let die msg =
-  Fmt.epr "cusanctl: %s@." msg;
-  usage ();
-  exit 2
+let socket = ref default_socket
+let faults = ref None
+let fault_seed = ref 0
+let seed = ref 1
+let retries = ref 6
+let jobs = ref 25
+let recheck = ref false
 
-type opts = {
-  socket : string;
-  faults : string option;
-  fault_seed : int;
-  seed : int;
-  retries : int;
-  jobs : int;
-  recheck : bool;
-  rest : string list;
-}
-
-(* A flag-shaped value is a missing value: [--socket --retries 1] must not
-   dial a socket named "--retries". *)
-let is_value v = not (String.length v > 0 && v.[0] = '-')
-
-let parse_args argv =
-  let rec go acc = function
-    | [] -> acc
-    | "--help" :: _ | "-h" :: _ ->
-        usage ();
-        exit 0
-    | "--socket" :: v :: rest when is_value v -> go { acc with socket = v } rest
-    | "--faults" :: v :: rest when is_value v ->
-        go { acc with faults = Some v } rest
-    | "--fault-seed" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n -> go { acc with fault_seed = n } rest
-        | None -> die (Fmt.str "--fault-seed expects an integer, got %S" v))
-    | "--seed" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n -> go { acc with seed = n } rest
-        | None -> die (Fmt.str "--seed expects an integer, got %S" v))
-    | "--retries" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n > 0 -> go { acc with retries = n } rest
-        | _ -> die (Fmt.str "--retries expects a positive integer, got %S" v))
-    | "--jobs" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n > 0 -> go { acc with jobs = n } rest
-        | _ -> die (Fmt.str "--jobs expects a positive integer, got %S" v))
-    | "--recheck" :: rest -> go { acc with recheck = true } rest
-    | (("--socket" | "--faults") as f) :: _
-    | [ (("--fault-seed" | "--seed" | "--retries" | "--jobs") as f) ] ->
-        die (f ^ " requires a value")
-    | arg :: rest -> go { acc with rest = acc.rest @ [ arg ] } rest
-  in
-  go
-    {
-      socket = default_socket;
-      faults = None;
-      fault_seed = 0;
-      seed = 1;
-      retries = 6;
-      jobs = 25;
-      recheck = false;
-      rest = [];
-    }
-    argv
-
-let job_of_words o words : Server.Protocol.job =
+let job_of_words words : Server.Protocol.job =
   match words with
   | [ "lint"; target ] -> Lint { target }
-  | [ "soak"; case ] -> Soak { case; seed = o.fault_seed; faults = o.faults }
+  | [ "soak"; case ] -> Soak { case; seed = !fault_seed; faults = !faults }
   | [ "bench"; app; flavor ] -> Bench { app; flavor }
   | [ "boom" ] -> Boom
   | [ "spin"; n ] -> (
       match int_of_string_opt n with
       | Some steps when steps > 0 -> Spin { steps }
-      | _ -> die (Fmt.str "spin expects a positive step count, got %S" n))
-  | cmd -> die (Fmt.str "bad command %S" (String.concat " " cmd))
+      | _ ->
+          Trace.Cli.usage_error
+            (Fmt.str "spin expects a positive step count, got %S" n))
+  | cmd -> Trace.Cli.usage_error (Fmt.str "bad command %S" (String.concat " " cmd))
 
 type cmd = Rpc of Server.Protocol.request | Campaign
 
-let cmd_of_opts o : cmd =
-  match o.rest with
+let cmd_of_words words : cmd =
+  match words with
   | [ "health" ] -> Rpc Health
   | [ "stats" ] -> Rpc Stats
   | [ "shutdown" ] -> Rpc Shutdown
   | [ "bench" ] -> Campaign
-  | [] -> die "no command given"
-  | words -> Rpc (Submit (job_of_words o words))
+  | [] -> Trace.Cli.usage_error "no command given"
+  | words -> Rpc (Submit (job_of_words words))
 
 exception Conn_lost of string
 (* The daemon went away mid-conversation (e.g. killed between our
@@ -185,15 +121,15 @@ let status j =
 
 (* One request under the client policy: bounded seeded retries for busy
    replies and connection failures. *)
-let rpc o req : Mjson.t =
+let rpc req : Mjson.t =
   let hint = ref 1 in
-  Resilience.with_retries ~label:"cusanctl" ~max_attempts:o.retries
-    ~jitter:(Faultsim.Prng.create o.seed)
+  Resilience.with_retries ~label:"cusanctl" ~max_attempts:!retries
+    ~jitter:(Faultsim.Prng.create !seed)
     ~on_backoff:(fun ~yields ->
       Unix.sleepf (quantum *. float_of_int (yields * !hint)))
     ~retryable:(function Busy _ -> true | e -> is_conn_error e)
     (fun ~attempt:_ ->
-      let j = roundtrip ~socket:o.socket req in
+      let j = roundtrip ~socket:!socket req in
       match status j with
       | "busy" ->
           hint :=
@@ -219,18 +155,19 @@ let exit_of_reply reply =
    the client is its own oracle. This doubles as the kill/recover soak:
    run it, kill -9 the daemon mid-campaign, and the supervised restart
    plus journal recovery must keep every verdict byte-identical. *)
-let campaign o =
+let campaign () =
   let lints = Server.Engine.lint_target_ids () in
   let soaks = Server.Engine.soak_case_ids () in
-  if lints = [] || soaks = [] then die "no lint targets or soak cases built in";
-  let prng = Faultsim.Prng.create (o.seed + 7) in
+  if lints = [] || soaks = [] then
+    Trace.Cli.usage_error "no lint targets or soak cases built in";
+  let prng = Faultsim.Prng.create (!seed + 7) in
   let pick lst =
     List.nth lst
       (min (List.length lst - 1)
          (int_of_float (Faultsim.Prng.float prng *. float_of_int (List.length lst))))
   in
   let mix =
-    List.init o.jobs (fun _ : Server.Protocol.job ->
+    List.init !jobs (fun _ : Server.Protocol.job ->
         if Faultsim.Prng.float prng < 0.5 then Lint { target = pick lints }
         else
           Soak
@@ -250,7 +187,8 @@ let campaign o =
         let bytes =
           match Server.Engine.run_job job with
           | Ok result -> Mjson.to_string result
-          | Error msg -> die ("campaign job failed locally: " ^ msg)
+          | Error msg ->
+              Trace.Cli.usage_error ("campaign job failed locally: " ^ msg)
         in
         Hashtbl.replace expected digest bytes;
         bytes
@@ -266,7 +204,7 @@ let campaign o =
         let digest = Server.Protocol.job_digest job in
         if not (Hashtbl.mem expected digest) then order := digest :: !order;
         let want = expect digest job in
-        match rpc o (Submit job) with
+        match rpc (Submit job) with
         | reply -> (
             consecutive_unreachable := 0;
             match status reply with
@@ -305,7 +243,7 @@ let campaign o =
   (* Recheck pass: every distinct job again, demanding a cache hit with
      the same bytes — duplicates must neither be lost nor recomputed. *)
   let recheck_hits = ref 0 and recheck_misses = ref 0 in
-  if o.recheck && not aborted then
+  if !recheck && not aborted then
     List.iter
       (fun digest ->
         let job =
@@ -313,7 +251,7 @@ let campaign o =
              companion list: recompute from the mix *)
           List.find (fun j -> Server.Protocol.job_digest j = digest) mix
         in
-        match rpc o (Submit job) with
+        match rpc (Submit job) with
         | reply ->
             let cached =
               Mjson.member "cached" reply |> Fun.flip Option.bind Mjson.to_bool
@@ -342,7 +280,7 @@ let campaign o =
       ([
          ("schema", Mjson.Str Server.Protocol.schema);
          ("event", Mjson.Str "bench");
-         ("jobs", Mjson.Int o.jobs);
+         ("jobs", Mjson.Int !jobs);
          ("distinct", Mjson.Int (Hashtbl.length expected));
          ("ok", Mjson.Int !ok);
          ("cache_hits", Mjson.Int !cache_hits);
@@ -356,7 +294,7 @@ let campaign o =
              (if elapsed_s > 0. then float_of_int !ok /. elapsed_s else 0.) );
        ]
       @
-      if o.recheck then
+      if !recheck then
         [
           ( "recheck",
             Mjson.Obj
@@ -374,11 +312,34 @@ let campaign o =
 
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let o = parse_args (List.tl (Array.to_list Sys.argv)) in
-  match cmd_of_opts o with
-  | Campaign -> campaign o
+  let words = ref [] in
+  Trace.Cli.parse ~prog:"cusanctl" ~usage
+    ~anon:(fun w -> words := !words @ [ w ])
+    [
+      Trace.Cli.value "--socket"
+        (fun v -> socket := v)
+        ("PATH daemon socket (default " ^ default_socket ^ ")");
+      Trace.Cli.string "--faults" faults
+        "SPEC fault plan for soak (cutests --faults grammar)";
+      Trace.Cli.int "--fault-seed"
+        (fun n -> fault_seed := n)
+        "N fault-plan seed for soak (default 0)";
+      Trace.Cli.int "--seed" (fun n -> seed := n) "N backoff jitter seed (default 1)";
+      Trace.Cli.int ~min:1 "--retries"
+        (fun n -> retries := n)
+        "N max attempts against a busy or absent daemon (default 6)";
+      Trace.Cli.int ~min:1 "--jobs"
+        (fun n -> jobs := n)
+        "N campaign length for bare bench (default 25)";
+      ( "--recheck",
+        Arg.Set recheck,
+        " campaign: re-submit each distinct job; require a byte-identical \
+         cache hit" );
+    ];
+  match cmd_of_words !words with
+  | Campaign -> campaign ()
   | Rpc req -> (
-      match rpc o req with
+      match rpc req with
       | reply ->
           print_endline (Mjson.to_string reply);
           exit_of_reply reply
@@ -390,5 +351,5 @@ let () =
           Fmt.epr "cusanctl: %s@." msg;
           exit 2
       | exception Unix.Unix_error (e, fn, _) ->
-          Fmt.epr "cusanctl: %s: %s (%s)@." o.socket (Unix.error_message e) fn;
+          Fmt.epr "cusanctl: %s: %s (%s)@." !socket (Unix.error_message e) fn;
           exit 3)

@@ -19,44 +19,6 @@
 let default_socket =
   Filename.concat (Filename.get_temp_dir_name ()) "cusand.sock"
 
-let usage () =
-  Fmt.pr
-    "usage: cusand [options]@.@.\
-    \  --socket PATH      listen on PATH (default %s)@.\
-    \  --workers N        worker domains (default 2)@.\
-    \  --queue-max N      in-flight high-water mark; beyond it jobs are@.\
-    \                     shed with a busy/retry_after reply (default 8)@.\
-    \  --watchdog STEPS   scheduler step budget per job; wedged jobs@.\
-    \                     become stalled verdicts (default %d)@.\
-    \  --cache-cap N      max cached results, 0 disables (default 1024)@.\
-    \  --state DIR        durable result cache: append-only journal in DIR,@.\
-    \                     replayed on startup (survives kill -9)@.\
-    \  --compact-every N  journal appends between compactions (default 256)@.\
-    \  --drain-timeout S  wall-clock budget for in-flight jobs at drain@.\
-    \                     (default 30)@.\
-    \  --stats FILE       also write the final drain stats JSON to FILE@.\
-    \  --supervise        run as a supervisor: fork the daemon and restart@.\
-    \                     it on abnormal exit with capped backoff@.\
-    \  --pid-file PATH    write the daemon's pid to PATH (under --supervise@.\
-    \                     this is the child's pid, rewritten per restart)@.\
-    \  --verbose          log admissions, sheds, reaped jobs@.@.\
-     SIGTERM or SIGINT (or a shutdown frame) requests a graceful drain.@."
-    default_socket Server.Engine.default_watchdog
-
-let die msg =
-  Fmt.epr "cusand: %s@." msg;
-  usage ();
-  exit 2
-
-let pos_int flag v =
-  match int_of_string_opt v with
-  | Some n when n > 0 -> n
-  | _ -> die (Fmt.str "%s expects a positive integer, got %S" flag v)
-
-(* A path value may not look like a flag: [--state --supervise] must not
-   create a state directory named "--supervise". *)
-let is_value v = not (String.length v > 0 && v.[0] = '-')
-
 let write_pid_file path pid =
   try
     Out_channel.with_open_bin path (fun oc ->
@@ -175,67 +137,52 @@ let supervise cfg stats_file pid_file =
 
 let () =
   let cfg = ref (Server.Daemon.default_cfg ~socket_path:default_socket) in
+  let set f v = cfg := f !cfg v in
   let stats_file = ref None in
   let pid_file = ref None in
   let supervised = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--help" :: _ | "-h" :: _ ->
-        usage ();
-        exit 0
-    | "--socket" :: v :: rest when is_value v ->
-        cfg := { !cfg with Server.Daemon.socket_path = v };
-        parse rest
-    | "--workers" :: v :: rest ->
-        cfg := { !cfg with Server.Daemon.workers = pos_int "--workers" v };
-        parse rest
-    | "--queue-max" :: v :: rest ->
-        cfg := { !cfg with Server.Daemon.queue_max = pos_int "--queue-max" v };
-        parse rest
-    | "--watchdog" :: v :: rest ->
-        cfg := { !cfg with Server.Daemon.watchdog = pos_int "--watchdog" v };
-        parse rest
-    | "--cache-cap" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 0 ->
-            cfg := { !cfg with Server.Daemon.cache_cap = n };
-            parse rest
-        | _ -> die (Fmt.str "--cache-cap expects a non-negative integer, got %S" v))
-    | "--state" :: v :: rest when is_value v ->
-        cfg := { !cfg with Server.Daemon.state_dir = Some v };
-        parse rest
-    | "--compact-every" :: v :: rest ->
-        cfg :=
-          { !cfg with Server.Daemon.compact_every = pos_int "--compact-every" v };
-        parse rest
-    | "--drain-timeout" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some s when s >= 0. ->
-            cfg := { !cfg with Server.Daemon.drain_timeout_s = s };
-            parse rest
-        | _ ->
-            die (Fmt.str "--drain-timeout expects a non-negative number, got %S" v))
-    | "--stats" :: v :: rest when is_value v ->
-        stats_file := Some v;
-        parse rest
-    | "--pid-file" :: v :: rest when is_value v ->
-        pid_file := Some v;
-        parse rest
-    | "--supervise" :: rest ->
-        supervised := true;
-        parse rest
-    | "--verbose" :: rest ->
-        cfg := { !cfg with Server.Daemon.verbose = true };
-        parse rest
-    | (("--socket" | "--state" | "--stats" | "--pid-file") as flag) :: _
-    | [
-        (( "--workers" | "--queue-max" | "--watchdog" | "--cache-cap"
-         | "--compact-every" | "--drain-timeout" ) as flag);
-      ] ->
-        die (flag ^ " requires a value")
-    | arg :: _ -> die (Fmt.str "unknown argument %S" arg)
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  Trace.Cli.parse ~prog:"cusand"
+    ~usage:
+      "usage: cusand [options]\n\n\
+       SIGTERM or SIGINT (or a shutdown frame) requests a graceful drain.\n\n\
+       options:"
+    [
+      Trace.Cli.value "--socket"
+        (set (fun c v -> { c with Server.Daemon.socket_path = v }))
+        ("PATH listen on PATH (default " ^ default_socket ^ ")");
+      Trace.Cli.workers ~min:1 "--workers"
+        (set (fun c n -> { c with Server.Daemon.workers = n }))
+        "N worker domains (default 2)";
+      Trace.Cli.int ~min:1 "--queue-max"
+        (set (fun c n -> { c with Server.Daemon.queue_max = n }))
+        "N in-flight high-water mark; more jobs are shed as busy (default 8)";
+      Trace.Cli.int ~min:1 "--watchdog"
+        (set (fun c n -> { c with Server.Daemon.watchdog = n }))
+        (Fmt.str "STEPS step budget per job; wedged jobs become stalled (default %d)"
+           Server.Engine.default_watchdog);
+      Trace.Cli.int ~min:0 "--cache-cap"
+        (set (fun c n -> { c with Server.Daemon.cache_cap = n }))
+        "N max cached results, 0 disables (default 1024)";
+      Trace.Cli.value "--state"
+        (set (fun c v -> { c with Server.Daemon.state_dir = Some v }))
+        "DIR durable cache: a journal in DIR, replayed on start (survives kill -9)";
+      Trace.Cli.int ~min:1 "--compact-every"
+        (set (fun c n -> { c with Server.Daemon.compact_every = n }))
+        "N journal appends between compactions (default 256)";
+      Trace.Cli.float ~min:0. "--drain-timeout"
+        (set (fun c s -> { c with Server.Daemon.drain_timeout_s = s }))
+        "S wall-clock budget for in-flight jobs at drain (default 30)";
+      Trace.Cli.string "--stats" stats_file
+        "FILE also write the final drain stats JSON to FILE";
+      ( "--supervise",
+        Arg.Set supervised,
+        " fork the daemon and restart it on abnormal exit, with backoff" );
+      Trace.Cli.string "--pid-file" pid_file
+        "PATH write the daemon's pid to PATH (per restart under --supervise)";
+      ( "--verbose",
+        Arg.Unit (set (fun c () -> { c with Server.Daemon.verbose = true })),
+        " log admissions, sheds, reaped jobs" );
+    ];
   if !supervised then supervise !cfg !stats_file !pid_file
   else begin
     Option.iter (fun p -> write_pid_file p (Unix.getpid ())) !pid_file;

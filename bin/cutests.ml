@@ -22,139 +22,86 @@
    so it forces -j 1; verdicts are unaffected — only stderr mentions
    the trace file, keeping stdout byte-identical to an untraced run. *)
 
-let usage () =
-  Fmt.pr
-    "usage: cutests [--deferred] [--verbose] [--list] [--only SUBSTR]@.\
-    \       [--seed N] [--faults SPEC] [-j N] [--json FILE] [--junit FILE]@.\
-    \       [--trace FILE] [--explore] [--explore-budget N]@.@.\
-    \  -j N        run the matrix on N worker domains (0 = one per core)@.\
-    \  --json FILE write verdicts as JSON (schema cusan-tests/1)@.\
-    \  --junit FILE write verdicts as JUnit XML@.\
-    \  --trace FILE record a flight-recorder trace (Chrome trace-event@.\
-    \              JSON; forces -j 1)@.@.\
-    \  --explore   schedule-space exploration (sleep-set DPOR) over the@.\
-    \              sched-sensitive family: re-execute each case under@.\
-    \              forced schedule prefixes until its interleaving space@.\
-    \              is exhausted or the budget is hit, and report how@.\
-    \              many schedules exposing each race needed. --only@.\
-    \              filters the family; --json writes the frontier stats@.\
-    \              (schema cusan-explore/1); -j shards the schedules of@.\
-    \              a case. Incompatible with --faults/--trace/--deferred.@.\
-    \  --explore-budget N  cap schedules per case (default 256)@.@.\
-     SPEC  comma-separated rules SITE[@@RANK][#NTH|*EVERY|%%PROB][:ACTION]@.\
-    \      (actions: fail abort hang crash drop delayN wedge),@.\
-    \      plus optional seed=N@.\
-    \ e.g.  --faults 'cuda_malloc@@1#2:fail,mpi_wait#1:hang,seed=7'@.\
-    \ `--faults help` prints the full site/action grammar@.@.\
-     exit status: 0 all cases classified correctly (under --explore:@.\
-    \               every racy case exposed, no clean case misfired),@.\
-    \             1 misclassification, 2 usage error (incl. unknown@.\
-    \               sites/actions in SPEC)@."
+let usage =
+  "usage: cutests [options]\n\n\
+   --explore runs schedule-space exploration (sleep-set DPOR) over the\n\
+   sched-sensitive family: each case re-executes under forced schedule\n\
+   prefixes until its interleaving space is exhausted or the budget is\n\
+   hit, and the report says how many schedules exposing each race\n\
+   needed. --only filters the family; --json writes the frontier stats\n\
+   (schema cusan-explore/1); -j shards the schedules of a case.\n\
+   Incompatible with --faults/--trace/--deferred. --trace forces -j 1\n\
+   (the recorder is domain-local).\n\n\
+   SPEC  comma-separated rules SITE[@RANK][#NTH|*EVERY|%PROB][:ACTION]\n\
+  \      (actions: fail abort hang crash drop delayN wedge),\n\
+  \      plus optional seed=N\n\
+  \ e.g.  --faults 'cuda_malloc@1#2:fail,mpi_wait#1:hang,seed=7'\n\
+  \ `--faults help` prints the full site/action grammar\n\n\
+   exit status: 0 all cases classified correctly (under --explore:\n\
+  \               every racy case exposed, no clean case misfired),\n\
+  \             1 misclassification, 2 usage error (incl. unknown\n\
+  \               sites/actions in SPEC)\n\n\
+   options:"
 
-let die msg =
-  Fmt.epr "cutests: %s@." msg;
-  usage ();
-  exit 2
-
-type opts = {
-  deferred : bool;
-  verbose : bool;
-  list_only : bool;
-  only : string option;
-  seed : int option;
-  faults_spec : string option;
-  jobs : int;
-  json_out : string option;
-  junit_out : string option;
-  trace_out : string option;
-  explore : bool;
-  explore_budget : int;
-}
-
-let default_opts =
-  {
-    deferred = false;
-    verbose = false;
-    list_only = false;
-    only = None;
-    seed = None;
-    faults_spec = None;
-    jobs = 1;
-    json_out = None;
-    junit_out = None;
-    trace_out = None;
-    explore = false;
-    explore_budget = 256;
-  }
-
-(* Strict parsing: every option that takes a value must get one, and
-   numeric values must parse — anything else prints usage and exits 2
-   instead of dying on an uncaught exception or silently dropping the
-   option. *)
-let parse_args argv =
-  let rec go acc = function
-    | [] -> acc
-    | "--help" :: _ | "-h" :: _ ->
-        usage ();
-        exit 0
-    | "--deferred" :: rest -> go { acc with deferred = true } rest
-    | "--verbose" :: rest -> go { acc with verbose = true } rest
-    | "--list" :: rest -> go { acc with list_only = true } rest
-    | "--only" :: v :: rest when not (String.length v > 0 && v.[0] = '-') ->
-        go { acc with only = Some v } rest
-    | [ "--only" ] | "--only" :: _ -> die "--only requires a value"
-    | "--seed" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n -> go { acc with seed = Some n } rest
-        | None -> die (Fmt.str "--seed expects an integer, got %S" v))
-    | [ "--seed" ] -> die "--seed requires a value"
-    | "--faults" :: v :: rest when not (String.length v > 0 && v.[0] = '-') ->
-        go { acc with faults_spec = Some v } rest
-    | [ "--faults" ] | "--faults" :: _ -> die "--faults requires a value"
-    | "-j" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 0 -> go { acc with jobs = n } rest
-        | Some _ -> die "-j expects a non-negative integer"
-        | None -> die (Fmt.str "-j expects an integer, got %S" v))
-    | [ "-j" ] -> die "-j requires a value"
-    | "--json" :: v :: rest when not (String.length v > 0 && v.[0] = '-') ->
-        go { acc with json_out = Some v } rest
-    | [ "--json" ] | "--json" :: _ -> die "--json requires a file name"
-    | "--junit" :: v :: rest when not (String.length v > 0 && v.[0] = '-') ->
-        go { acc with junit_out = Some v } rest
-    | [ "--junit" ] | "--junit" :: _ -> die "--junit requires a file name"
-    | "--trace" :: v :: rest when not (String.length v > 0 && v.[0] = '-') ->
-        go { acc with trace_out = Some v } rest
-    | [ "--trace" ] | "--trace" :: _ -> die "--trace requires a file name"
-    | "--explore" :: rest -> go { acc with explore = true } rest
-    | "--explore-budget" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n > 0 -> go { acc with explore_budget = n } rest
-        | Some _ -> die "--explore-budget expects a positive integer"
-        | None -> die (Fmt.str "--explore-budget expects an integer, got %S" v))
-    | [ "--explore-budget" ] -> die "--explore-budget requires a value"
-    | arg :: _ -> die (Fmt.str "unknown argument %S" arg)
-  in
-  go default_opts argv
+let contains ~sub name =
+  let nl = String.length name and sl = String.length sub in
+  let rec at i = i + sl <= nl && (String.sub name i sl = sub || at (i + 1)) in
+  at 0
 
 let () =
-  let o = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let deferred = ref false
+  and verbose = ref false
+  and list_only = ref false
+  and only = ref None
+  and seed = ref None
+  and faults_spec = ref None
+  and jobs = ref 1
+  and json_out = ref None
+  and junit_out = ref None
+  and explore = ref false
+  and explore_budget = ref 256 in
+  Trace.Cli.parse ~prog:"cutests" ~usage
+    [
+      ("--deferred", Arg.Set deferred, " deferred device execution");
+      ("--verbose", Arg.Set verbose, " print the race reports of failing cases");
+      ( "--list",
+        Arg.Set list_only,
+        " print the selected case ids (after --only) and exit" );
+      Trace.Cli.string "--only" only "SUBSTR run only cases whose id contains SUBSTR";
+      Trace.Cli.int "--seed"
+        (fun n -> seed := Some n)
+        "N fault-injection seed (wins over a seed=N in SPEC)";
+      Trace.Cli.string "--faults" faults_spec
+        "SPEC arm the fault injector for every case (grammar above)";
+      Trace.Cli.workers ~min:0 "-j"
+        (fun n -> jobs := n)
+        "N run the matrix on N worker domains (0 = one per core)";
+      Trace.Cli.string "--json" json_out
+        "FILE write verdicts as JSON (schema cusan-tests/1)";
+      Trace.Cli.string "--junit" junit_out "FILE write verdicts as JUnit XML";
+      Trace.Cli.trace;
+      ( "--explore",
+        Arg.Set explore,
+        " schedule-space exploration of the sched-sensitive family" );
+      Trace.Cli.int ~min:1 "--explore-budget"
+        (fun n -> explore_budget := n)
+        "N cap schedules per case (default 256)";
+    ];
   (* `--faults help` is a documentation query, not a plan: print the
      grammar (generated from the parser's own tables) and stop. *)
-  (match o.faults_spec with
-  | Some "help" ->
-      Fmt.pr "%s@." (Faultsim.Plan.grammar_help ());
-      exit 0
-  | _ -> ());
+  if !faults_spec = Some "help" then begin
+    Fmt.pr "%s@." (Faultsim.Plan.grammar_help ());
+    exit 0
+  end;
   let faults =
-    match o.faults_spec with
+    match !faults_spec with
     | None -> None
     | Some spec -> (
         match Faultsim.Plan.parse_spec spec with
-        | Error msg -> die (Fmt.str "bad --faults spec: %s" msg)
+        | Error msg -> Trace.Cli.usage_error ("bad --faults spec: " ^ msg)
         | Ok (spec_seed, plan) ->
             let seed =
-              match (o.seed, spec_seed) with
+              match (!seed, spec_seed) with
               | Some s, _ -> s (* --seed wins over an embedded seed=N *)
               | None, Some s -> s
               | None, None -> 0
@@ -162,47 +109,53 @@ let () =
             Some (seed, plan))
   in
   let mode =
-    if o.deferred then Cudasim.Device.Deferred else Cudasim.Device.Eager
+    if !deferred then Cudasim.Device.Deferred else Cudasim.Device.Eager
   in
-  let jobs = if o.jobs = 0 then Pool.default_workers () else o.jobs in
-  let contains_sub ~sub name =
-    let nl = String.length name and sl = String.length sub in
-    let rec at i = i + sl <= nl && (String.sub name i sl = sub || at (i + 1)) in
-    at 0
+  let jobs = if !jobs = 0 then Pool.default_workers () else !jobs in
+  (* --list prints the *selected* case ids — i.e. after --only filtering
+     — one per line, so scripts can expand a filter into concrete case
+     names; a filter matching nothing exits 2. *)
+  let select ~family all =
+    let cases =
+      match !only with
+      | None -> all
+      | Some sub ->
+          List.filter
+            (fun (c : Testsuite.Cases.case) -> contains ~sub c.Testsuite.Cases.name)
+            all
+    in
+    if cases = [] then begin
+      Fmt.epr "cutests: no %scase matches --only %a@." family
+        Fmt.(option string)
+        !only;
+      exit 2
+    end;
+    if !list_only then begin
+      List.iter
+        (fun (c : Testsuite.Cases.case) -> Fmt.pr "%s@." c.Testsuite.Cases.name)
+        cases;
+      exit 0
+    end;
+    cases
   in
   (* --explore: systematic schedule-space exploration of the
      sched-sensitive family instead of one classification run per case.
      A separate mode, not a matrix flag: these cases are clean under
      the default FIFO schedule by construction, so single-schedule
      classification would misread them. *)
-  if o.explore then begin
-    if o.faults_spec <> None then die "--explore is incompatible with --faults";
-    if o.trace_out <> None then die "--explore is incompatible with --trace";
-    if o.deferred then die "--explore is incompatible with --deferred";
-    let cases =
-      match o.only with
-      | None -> Testsuite.Cases.sched_sensitive ()
-      | Some sub ->
-          List.filter
-            (fun (c : Testsuite.Cases.case) ->
-              contains_sub ~sub c.Testsuite.Cases.name)
-            (Testsuite.Cases.sched_sensitive ())
+  if !explore then begin
+    let incompatible flag =
+      Trace.Cli.usage_error ("--explore is incompatible with " ^ flag)
     in
-    if cases = [] then begin
-      Fmt.epr "cutests: no sched-sensitive case matches --only %a@."
-        Fmt.(option string)
-        o.only;
-      exit 2
-    end;
-    if o.list_only then begin
-      List.iter
-        (fun (c : Testsuite.Cases.case) -> Fmt.pr "%s@." c.Testsuite.Cases.name)
-        cases;
-      exit 0
-    end;
+    if !faults_spec <> None then incompatible "--faults";
+    if Trace.Cli.tracing () then incompatible "--trace";
+    if !deferred then incompatible "--deferred";
+    let cases =
+      select ~family:"sched-sensitive " (Testsuite.Cases.sched_sensitive ())
+    in
     let verdicts =
       List.map
-        (Testsuite.Explore_runner.explore_case ~budget:o.explore_budget
+        (Testsuite.Explore_runner.explore_case ~budget:!explore_budget
            ~workers:jobs)
         cases
     in
@@ -212,11 +165,11 @@ let () =
         Fmt.pr "%a (%d of %d)@." Testsuite.Explore_runner.pp_verdict v (i + 1)
           total)
       verdicts;
-    (match o.json_out with
+    (match !json_out with
     | None -> ()
     | Some path ->
         let doc =
-          Testsuite.Explore_runner.json ~budget:o.explore_budget ~j:jobs
+          Testsuite.Explore_runner.json ~budget:!explore_budget ~j:jobs
             verdicts
         in
         Testsuite.Emit.write_file path (Reporting.Mjson.to_string_pretty doc);
@@ -228,45 +181,19 @@ let () =
   (* The recorder is domain-local: tracing a sharded run would only see
      the coordinating domain. Trace runs are sequential. *)
   let jobs =
-    if o.trace_out <> None && jobs > 1 then begin
+    if Trace.Cli.tracing () && jobs > 1 then begin
       Fmt.epr "cutests: --trace forces -j 1 (recorder is domain-local)@.";
       1
     end
     else jobs
   in
-  if o.trace_out <> None then Trace.Recorder.enable ();
-  let contains ~sub name =
-    let nl = String.length name and sl = String.length sub in
-    let rec at i = i + sl <= nl && (String.sub name i sl = sub || at (i + 1)) in
-    at 0
-  in
-  let cases =
-    match o.only with
-    | None -> Testsuite.Cases.all ()
-    | Some sub ->
-        List.filter
-          (fun (c : Testsuite.Cases.case) -> contains ~sub c.Testsuite.Cases.name)
-          (Testsuite.Cases.all ())
-  in
-  if cases = [] then begin
-    Fmt.epr "cutests: no case matches --only %a@." Fmt.(option string) o.only;
-    exit 2
-  end;
-  (* --list prints the *selected* case ids — i.e. after --only filtering
-     — one per line, so scripts can expand a filter into concrete case
-     names (and a filter matching nothing still exits 2 above). *)
-  if o.list_only then begin
-    List.iter
-      (fun (c : Testsuite.Cases.case) -> Fmt.pr "%s@." c.Testsuite.Cases.name)
-      cases;
-    exit 0
-  end;
+  let cases = select ~family:"" (Testsuite.Cases.all ()) in
   (* The exact command that reproduces a failing case: determinism means
      replaying (case, mode, seed, plan) replays the verdict. *)
   let repro (v : Testsuite.Runner.verdict) =
     Fmt.str "dune exec bin/cutests.exe -- --only '%s'%s%s"
       v.Testsuite.Runner.case.Testsuite.Cases.name
-      (if o.deferred then " --deferred" else "")
+      (if !deferred then " --deferred" else "")
       (match faults with
       | None -> ""
       | Some (seed, plan) ->
@@ -297,7 +224,7 @@ let () =
             List.iter (fun l -> Fmt.pr "      %s@." l) lines)
           v.Testsuite.Runner.history
       end;
-      if o.verbose && not v.Testsuite.Runner.pass then
+      if !verbose && not v.Testsuite.Runner.pass then
         List.iter
           (fun (rank, r) ->
             Fmt.pr "    rank %d: %s@." rank (Tsan.Report.to_string r))
@@ -310,32 +237,24 @@ let () =
   if faults <> None then
     Fmt.pr "@.%d fault(s) injected across %d cases (seed %d)@." injected total
       (match faults with Some (s, _) -> s | None -> 0);
-  (match o.json_out with
+  (match !json_out with
   | None -> ()
   | Some path ->
       let doc =
         Testsuite.Emit.json
-          ?seed:(match faults with Some (s, _) -> Some s | None -> o.seed)
-          ?faults_spec:o.faults_spec
-          ~mode:(if o.deferred then "deferred" else "eager")
+          ?seed:(match faults with Some (s, _) -> Some s | None -> !seed)
+          ?faults_spec:!faults_spec
+          ~mode:(if !deferred then "deferred" else "eager")
           ~j:jobs verdicts
       in
       Testsuite.Emit.write_file path (Reporting.Mjson.to_string_pretty doc);
       (* stderr, like the trace notice: the @resilience soak diffs
          stdout between runs that differ only in artifact flags. *)
       Fmt.epr "wrote %s@." path);
-  (match o.junit_out with
+  (match !junit_out with
   | None -> ()
   | Some path ->
       Testsuite.Emit.write_file path (Testsuite.Emit.junit verdicts);
       Fmt.epr "wrote %s@." path);
-  (match o.trace_out with
-  | None -> ()
-  | Some path ->
-      let events = Trace.Recorder.events () in
-      Trace.Chrome.write_file path events;
-      (* stderr: the @fault gate diffs traced against untraced stdout. *)
-      Fmt.epr "trace: wrote %s (%d events, %d dropped)@." path
-        (List.length events) (Trace.Recorder.dropped ()));
   Fmt.pr "@.%d of %d testsuite cases classified correctly@." pass total;
   if pass <> total then exit 1

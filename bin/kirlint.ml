@@ -54,84 +54,12 @@ module RA = Cusan.Race_analysis
 module W = Cusan.Witness
 module Corpus = Testsuite.Corpus
 
-let usage () =
-  Fmt.pr
-    "usage: kirlint [--corpus] [--only LIST] [--list] [--witness]@.\
-    \       [--certify FILE] [--suggest-fixes] [--suppress FILE]@.\
-    \       [--json FILE] [--junit FILE]@.@.\
-    \  --corpus        lint the seeded ground-truth corpus instead of the@.\
-    \                  app/example suite (contains must-races; exits 1)@.\
-    \  --only LIST     lint only targets whose id contains one of the@.\
-    \                  comma-separated substrings@.\
-    \  --list          print the selected target ids and exit@.\
-    \  --witness       prove race candidates by interpreter-validated@.\
-    \                  witnesses; unproved musts are downgraded@.\
-    \  --certify FILE  write DRF certificates for race-free targets@.\
-    \                  (schema kirlint-cert/1), re-checked independently@.\
-    \  --suggest-fixes propose minimal verified barrier insertions for@.\
-    \                  targets with provable races@.\
-    \  --suppress FILE TSan-suppressions file (race:PATTERN); matching@.\
-    \                  targets stop affecting the exit status@.\
-    \  --json FILE     write results as JSON (schema kirlint/1, or@.\
-    \                  kirlint/2 with --witness/--suggest-fixes/--suppress)@.\
-    \  --junit FILE    write results as JUnit XML@.@.\
-     exit status: 0 clean, 1 must- or proved-races / invalid modules /@.\
-    \             corpus mismatch / certificate re-check failure,@.\
-    \             2 usage error@."
-
-let die msg =
-  Fmt.epr "kirlint: %s@." msg;
-  usage ();
-  exit 2
-
-type opts = {
-  corpus : bool;
-  only : string list; (* comma-separated substrings; [] = everything *)
-  list_only : bool;
-  witness : bool;
-  certify_out : string option;
-  fixes : bool;
-  suppress : string option;
-  json_out : string option;
-  junit_out : string option;
-}
-
-let parse_args argv =
-  let rec go acc = function
-    | [] -> acc
-    | "--help" :: _ | "-h" :: _ ->
-        usage ();
-        exit 0
-    | "--corpus" :: rest -> go { acc with corpus = true } rest
-    | "--list" :: rest -> go { acc with list_only = true } rest
-    | "--witness" :: rest -> go { acc with witness = true } rest
-    | "--suggest-fixes" :: rest -> go { acc with fixes = true } rest
-    | "--only" :: v :: rest when not (String.length v > 0 && v.[0] = '-') ->
-        let subs = String.split_on_char ',' v in
-        if List.exists (fun s -> s = "") subs then
-          die "--only takes a comma-separated list of non-empty substrings"
-        else go { acc with only = acc.only @ subs } rest
-    | [ "--only" ] | "--only" :: _ -> die "--only requires a value"
-    | "--certify" :: v :: rest when not (String.length v > 0 && v.[0] = '-') ->
-        go { acc with certify_out = Some v } rest
-    | [ "--certify" ] | "--certify" :: _ -> die "--certify requires a file name"
-    | "--suppress" :: v :: rest when not (String.length v > 0 && v.[0] = '-') ->
-        go { acc with suppress = Some v } rest
-    | [ "--suppress" ] | "--suppress" :: _ ->
-        die "--suppress requires a file name"
-    | "--json" :: v :: rest when not (String.length v > 0 && v.[0] = '-') ->
-        go { acc with json_out = Some v } rest
-    | [ "--json" ] | "--json" :: _ -> die "--json requires a file name"
-    | "--junit" :: v :: rest when not (String.length v > 0 && v.[0] = '-') ->
-        go { acc with junit_out = Some v } rest
-    | [ "--junit" ] | "--junit" :: _ -> die "--junit requires a file name"
-    | arg :: _ -> die (Fmt.str "unknown argument %S" arg)
-  in
-  go
-    { corpus = false; only = []; list_only = false; witness = false;
-      certify_out = None; fixes = false; suppress = None; json_out = None;
-      junit_out = None }
-    argv
+let usage =
+  "usage: kirlint [options]\n\n\
+   exit status: 0 clean, 1 must- or proved-races / invalid modules /\n\
+  \             corpus mismatch / certificate re-check failure,\n\
+  \             2 usage error\n\n\
+   options:"
 
 (* --- targets ------------------------------------------------------------- *)
 
@@ -573,10 +501,47 @@ let contains ~sub name =
   at 0
 
 let () =
-  let o = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let corpus = ref false
+  and only = ref [] (* comma-separated substrings; [] = everything *)
+  and list_only = ref false
+  and witness = ref false
+  and certify_out = ref None
+  and fixes = ref false
+  and suppress = ref None
+  and json_out = ref None
+  and junit_out = ref None in
+  Trace.Cli.parse ~prog:"kirlint" ~usage
+    [
+      ( "--corpus",
+        Arg.Set corpus,
+        " lint the seeded ground-truth corpus (has must-races: exits 1)" );
+      Trace.Cli.value "--only"
+        (fun v ->
+          let subs = String.split_on_char ',' v in
+          if List.mem "" subs then
+            raise
+              (Arg.Bad
+                 "--only takes a comma-separated list of non-empty substrings");
+          only := !only @ subs)
+        "LIST lint targets whose id contains one of these substrings";
+      ("--list", Arg.Set list_only, " print the selected target ids and exit");
+      ( "--witness",
+        Arg.Set witness,
+        " prove races by replayed witnesses; unproved musts become mays" );
+      Trace.Cli.string "--certify" certify_out
+        "FILE write re-checked DRF certificates (schema kirlint-cert/1)";
+      ( "--suggest-fixes",
+        Arg.Set fixes,
+        " propose minimal verified barrier insertions" );
+      Trace.Cli.string "--suppress" suppress
+        "FILE race:PATTERN lines; matching targets stop gating the exit";
+      Trace.Cli.string "--json" json_out
+        "FILE write results as JSON (kirlint/1; kirlint/2 when proving)";
+      Trace.Cli.string "--junit" junit_out "FILE write results as JUnit XML";
+    ];
   let targets =
-    let all = if o.corpus then corpus_targets () else default_targets () in
-    match o.only with
+    let all = if !corpus then corpus_targets () else default_targets () in
+    match !only with
     | [] -> all
     | subs ->
         List.filter
@@ -585,25 +550,25 @@ let () =
   in
   if targets = [] then begin
     Fmt.epr "kirlint: no target matches --only %s@."
-      (String.concat "," o.only);
+      (String.concat "," !only);
     exit 2
   end;
-  if o.list_only then begin
+  if !list_only then begin
     List.iter (fun t -> Fmt.pr "%s@." t.id) targets;
     exit 0
   end;
   let patterns =
-    match o.suppress with
+    match !suppress with
     | None -> []
     | Some path -> (
         match read_file path with
         | content -> Tsan.Suppress.parse content
-        | exception Sys_error e -> die ("--suppress: " ^ e))
+        | exception Sys_error e -> Trace.Cli.usage_error ("--suppress: " ^ e))
   in
   let lints =
     List.map
       (fun t ->
-        let l = lint_target ~witness:o.witness ~fixes:o.fixes t in
+        let l = lint_target ~witness:!witness ~fixes:!fixes t in
         let suppressed =
           List.exists
             (fun pat ->
@@ -622,7 +587,7 @@ let () =
     List.exists (fun l -> (not l.suppressed) && gating_races l) lints
   in
   let cert_failures =
-    match o.certify_out with
+    match !certify_out with
     | None -> []
     | Some path ->
         let doc, ncerts, failures = certify lints in
@@ -635,14 +600,14 @@ let () =
           failures;
         failures
   in
-  let v2 = o.witness || o.fixes || o.suppress <> None in
-  (match o.json_out with
+  let v2 = !witness || !fixes || !suppress <> None in
+  (match !json_out with
   | None -> ()
   | Some path ->
       write_file path
-        (Reporting.Mjson.to_string_pretty (json ~corpus:o.corpus ~v2 lints));
+        (Reporting.Mjson.to_string_pretty (json ~corpus:!corpus ~v2 lints));
       Fmt.pr "wrote %s@." path);
-  (match o.junit_out with
+  (match !junit_out with
   | None -> ()
   | Some path ->
       write_file path (junit lints);
@@ -651,9 +616,9 @@ let () =
   Fmt.pr "@.%d of %d kernels %s%s%s@."
     (List.length lints - List.length failed)
     (List.length lints)
-    (if o.corpus then "classified as expected" else "lint clean")
+    (if !corpus then "classified as expected" else "lint clean")
     (if gate_races then
-       if o.witness then " (proved-races present)" else " (must-races present)"
+       if !witness then " (proved-races present)" else " (must-races present)"
      else "")
     (if nsupp > 0 then Fmt.str " (%d suppressed)" nsupp else "");
   if gate_failed <> [] || gate_races || cert_failures <> [] then exit 1

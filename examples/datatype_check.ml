@@ -5,7 +5,7 @@
 
      dune exec examples/datatype_check.exe *)
 
-let () = Trace.Cli.setup () (* --trace FILE records a flight-recorder trace *)
+let () = Trace.Cli.parse ~prog:"datatype_check" [ Trace.Cli.trace ]
 
 module Mem = Cudasim.Memory
 module Mpi = Mpisim.Mpi

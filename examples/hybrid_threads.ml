@@ -9,7 +9,7 @@
 
      dune exec examples/hybrid_threads.exe *)
 
-let () = Trace.Cli.setup () (* --trace FILE records a flight-recorder trace *)
+let () = Trace.Cli.parse ~prog:"hybrid_threads" [ Trace.Cli.trace ]
 
 module Dev = Cudasim.Device
 module Mem = Cudasim.Memory

@@ -12,8 +12,6 @@
 
      dune exec examples/jacobi_demo.exe -- --faults 'mpi_collective@1#2:crash' *)
 
-let () = Trace.Cli.setup () (* --trace FILE records a flight-recorder trace *)
-
 let () =
   let nx = ref 64
   and ny = ref 64
@@ -25,34 +23,37 @@ let () =
   and faults_spec = ref None
   and seed = ref None
   and flavor = ref Harness.Flavor.Must_cusan in
-  let spec =
+  let pos key r doc = Trace.Cli.int ~min:1 key (fun n -> r := n) doc in
+  Trace.Cli.parse ~prog:"jacobi_demo"
     [
-      ("--nx", Arg.Set_int nx, "global columns (default 64)");
-      ("--ny", Arg.Set_int ny, "global rows (default 64)");
-      ("--iters", Arg.Set_int iters, "Jacobi iterations (default 100)");
-      ("--ranks", Arg.Set_int nranks, "MPI ranks (default 2)");
-      ("--racy", Arg.Set racy, "skip cudaDeviceSynchronize before the exchange");
+      pos "--nx" nx "N global columns (default 64)";
+      pos "--ny" ny "N global rows (default 64)";
+      pos "--iters" iters "N Jacobi iterations (default 100)";
+      pos "--ranks" nranks "N MPI ranks (default 2)";
+      ("--racy", Arg.Set racy, " skip cudaDeviceSynchronize before the exchange");
       ( "--rma",
         Arg.Set rma,
-        "one-sided halo exchange (MPI_Put + fences over device windows)" );
-      ("--deferred", Arg.Set deferred, "deferred device execution (stale data observable)");
-      ( "--flavor",
-        Arg.String
-          (fun s ->
-            match Harness.Flavor.of_string s with
-            | Some f -> flavor := f
-            | None -> raise (Arg.Bad ("unknown flavor " ^ s))),
-        "tool stack: vanilla|tsan|must|cusan|must-cusan (default must-cusan)" );
-      ( "--faults",
-        Arg.String (fun s -> faults_spec := Some s),
+        " one-sided halo exchange (MPI_Put + fences over device windows)" );
+      ( "--deferred",
+        Arg.Set deferred,
+        " deferred device execution (stale data observable)" );
+      Trace.Cli.value "--flavor"
+        (fun s ->
+          match Harness.Flavor.of_string s with
+          | Some f -> flavor := f
+          | None -> raise (Arg.Bad ("unknown flavor " ^ s)))
+        "NAME tool stack: vanilla|tsan|must|cusan|must-cusan (default must-cusan)";
+      Trace.Cli.string "--faults" faults_spec
         "SPEC arm the fault injector and run the fault-tolerant solver \
-         (grammar: cutests --faults help)" );
-      ( "--seed",
-        Arg.Int (fun n -> seed := Some n),
-        "N fault-injection PRNG seed (default 0)" );
-    ]
-  in
-  Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected " ^ a))) "jacobi_demo";
+         (grammar: cutests --faults help)";
+      Trace.Cli.int "--seed"
+        (fun n -> seed := Some n)
+        "N fault-injection PRNG seed (default 0)";
+      Trace.Cli.trace;
+    ];
+  (* each rank owns ny / ranks rows *)
+  if !ny mod !nranks <> 0 then
+    Trace.Cli.usage_error "--ny must be a multiple of --ranks";
   let cfg =
     Apps.Jacobi.config ~nx:!nx ~ny:!ny ~iters:!iters
       ~norm_every:(max 1 (!iters / 2)) ~racy:!racy
@@ -72,14 +73,10 @@ let () =
   | None -> ()
   | Some spec ->
       (match Faultsim.Plan.parse_spec spec with
-      | Error msg ->
-          Fmt.epr "jacobi_demo: bad --faults spec: %s@." msg;
-          exit 2
+      | Error msg -> Trace.Cli.usage_error ("bad --faults spec: " ^ msg)
       | Ok (spec_seed, plan) ->
-          if !rma then begin
-            Fmt.epr "jacobi_demo: the fault-tolerant solver is Sendrecv-only@.";
-            exit 2
-          end;
+          if !rma then
+            Trace.Cli.usage_error "the fault-tolerant solver is Sendrecv-only";
           let seed =
             match (!seed, spec_seed) with
             | Some s, _ -> s

@@ -9,7 +9,7 @@
 
      dune exec examples/managed_memory.exe *)
 
-let () = Trace.Cli.setup () (* --trace FILE records a flight-recorder trace *)
+let () = Trace.Cli.parse ~prog:"managed_memory" [ Trace.Cli.trace ]
 
 module Dev = Cudasim.Device
 module Mem = Cudasim.Memory

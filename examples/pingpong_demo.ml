@@ -12,29 +12,29 @@
 
      dune exec examples/pingpong_demo.exe -- --faults 'mpi_recv@1#3:crash' *)
 
-let () = Trace.Cli.setup () (* --trace FILE records a flight-recorder trace *)
-
 module R = Harness.Run
 
-(* Same minimal scan style as Trace.Cli: this demo has no strict parser. *)
-let find_value_arg name =
-  let argv = Sys.argv in
-  let n = Array.length argv in
-  let rec go i =
-    if i >= n then None
-    else if argv.(i) = name && i + 1 < n then Some argv.(i + 1)
-    else go (i + 1)
-  in
-  go 1
+let faults_spec = ref None
+let seed = ref None
+
+let () =
+  Trace.Cli.parse ~prog:"pingpong_demo"
+    [
+      Trace.Cli.string "--faults" faults_spec
+        "SPEC run the fault-tolerant ping-pong under the injector \
+         (grammar: cutests --faults help)";
+      Trace.Cli.int "--seed"
+        (fun n -> seed := Some n)
+        "N fault-injection PRNG seed (default 0)";
+      Trace.Cli.trace;
+    ]
 
 let resilient_demo spec =
   match Faultsim.Plan.parse_spec spec with
-  | Error msg ->
-      Fmt.epr "pingpong_demo: bad --faults spec: %s@." msg;
-      exit 2
+  | Error msg -> Trace.Cli.usage_error ("bad --faults spec: " ^ msg)
   | Ok (spec_seed, plan) ->
       let seed =
-        match Option.bind (find_value_arg "--seed") int_of_string_opt with
+        match !seed with
         | Some s -> s
         | None -> Option.value spec_seed ~default:0
       in
@@ -88,7 +88,7 @@ let resilient_demo spec =
       if !survivors = 0 || !intact <> !survivors then exit 1
 
 let () =
-  match find_value_arg "--faults" with
+  match !faults_spec with
   | Some spec ->
       resilient_demo spec;
       exit 0

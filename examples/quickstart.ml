@@ -16,7 +16,7 @@
 
      dune exec examples/quickstart.exe *)
 
-let () = Trace.Cli.setup () (* --trace FILE records a flight-recorder trace *)
+let () = Trace.Cli.parse ~prog:"quickstart" [ Trace.Cli.trace ]
 
 module Dev = Cudasim.Device
 module Mem = Cudasim.Memory

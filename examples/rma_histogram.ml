@@ -9,7 +9,7 @@
 
      dune exec examples/rma_histogram.exe *)
 
-let () = Trace.Cli.setup () (* --trace FILE records a flight-recorder trace *)
+let () = Trace.Cli.parse ~prog:"rma_histogram" [ Trace.Cli.trace ]
 
 module R = Harness.Run
 module Mpi = Mpisim.Mpi

@@ -5,8 +5,6 @@
      dune exec examples/tealeaf_demo.exe -- --race cuda-to-mpi
      dune exec examples/tealeaf_demo.exe -- --race mpi-to-cuda *)
 
-let () = Trace.Cli.setup () (* --trace FILE records a flight-recorder trace *)
-
 let () =
   let nx = ref 64
   and ny = ref 64
@@ -15,31 +13,32 @@ let () =
   and nranks = ref 2
   and race = ref `No
   and flavor = ref Harness.Flavor.Must_cusan in
-  let spec =
+  let pos key r doc = Trace.Cli.int ~min:1 key (fun n -> r := n) doc in
+  Trace.Cli.parse ~prog:"tealeaf_demo"
     [
-      ("--nx", Arg.Set_int nx, "columns (default 64)");
-      ("--ny", Arg.Set_int ny, "rows (default 64)");
-      ("--steps", Arg.Set_int steps, "timesteps (default 4)");
-      ("--cg-iters", Arg.Set_int cg_iters, "CG iterations per step (default 12)");
-      ("--ranks", Arg.Set_int nranks, "MPI ranks (default 2)");
-      ( "--race",
-        Arg.String
-          (function
-            | "cuda-to-mpi" -> race := `Cuda_to_mpi
-            | "mpi-to-cuda" -> race := `Mpi_to_cuda
-            | "none" -> race := `No
-            | s -> raise (Arg.Bad ("unknown race mode " ^ s))),
-        "inject a race: none|cuda-to-mpi|mpi-to-cuda" );
-      ( "--flavor",
-        Arg.String
-          (fun s ->
-            match Harness.Flavor.of_string s with
-            | Some f -> flavor := f
-            | None -> raise (Arg.Bad ("unknown flavor " ^ s))),
-        "tool stack: vanilla|tsan|must|cusan|must-cusan (default must-cusan)" );
-    ]
-  in
-  Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected " ^ a))) "tealeaf_demo";
+      pos "--nx" nx "N columns (default 64)";
+      pos "--ny" ny "N rows (default 64)";
+      pos "--steps" steps "N timesteps (default 4)";
+      pos "--cg-iters" cg_iters "N CG iterations per step (default 12)";
+      pos "--ranks" nranks "N MPI ranks (default 2)";
+      Trace.Cli.value "--race"
+        (function
+          | "cuda-to-mpi" -> race := `Cuda_to_mpi
+          | "mpi-to-cuda" -> race := `Mpi_to_cuda
+          | "none" -> race := `No
+          | s -> raise (Arg.Bad ("unknown race mode " ^ s)))
+        "MODE inject a race: none|cuda-to-mpi|mpi-to-cuda";
+      Trace.Cli.value "--flavor"
+        (fun s ->
+          match Harness.Flavor.of_string s with
+          | Some f -> flavor := f
+          | None -> raise (Arg.Bad ("unknown flavor " ^ s)))
+        "NAME tool stack: vanilla|tsan|must|cusan|must-cusan (default must-cusan)";
+      Trace.Cli.trace;
+    ];
+  (* each rank owns ny / ranks rows *)
+  if !ny mod !nranks <> 0 then
+    Trace.Cli.usage_error "--ny must be a multiple of --ranks";
   let cfg =
     Apps.Tealeaf.config ~nx:!nx ~ny:!ny ~steps:!steps ~cg_iters:!cg_iters
       ~racy:!race ~nranks:!nranks ()

@@ -10,12 +10,6 @@
     calibration knobs, not measurements; EXPERIMENTS.md reports them
     alongside results. *)
 
-val kernel_launch_overhead_s : float
-val kernel_per_thread_s : float
-val pcie_bandwidth : float
-val device_bandwidth : float
-val memop_overhead_s : float
-
 val kernel : grid:int -> float
 (** Virtual duration of a kernel over [grid] threads. *)
 

@@ -108,7 +108,6 @@ type t = {
   mutable next_eid : int;
   pending : op Queue.t; (* enqueue order, for progress ticks *)
   mutable hooks : (phase -> api_event -> unit) list;
-  mutable ops_executed : int;
   mutable exec_wall_s : float; (* real CPU time spent running op bodies *)
   mutable virtual_s : float; (* modelled device time (Costmodel) *)
   (* Error state (see [Error]): [last_error] is the most recent
@@ -138,7 +137,6 @@ let create ?(mode = Eager) ?(default_stream_mode = Legacy) () =
     next_eid = 0;
     pending = Queue.create ();
     hooks = [];
-    ops_executed = 0;
     exec_wall_s = 0.;
     virtual_s = 0.;
     last_error = Error.Success;
@@ -348,7 +346,6 @@ let enqueue t ?(extra_deps = []) ?(cost = 0.) stream label action =
       finished_at = 0.;
       action =
         (fun () ->
-          t.ops_executed <- t.ops_executed + 1;
           let traced = Trace.Recorder.on () in
           let ts0 = if traced then Trace.Recorder.now_us () else 0. in
           let t0 = Unix.gettimeofday () in
@@ -397,8 +394,6 @@ let tick t =
             go ()
   in
   go ()
-
-let ops_executed t = t.ops_executed
 
 (* --- streams ----------------------------------------------------------- *)
 

@@ -218,8 +218,6 @@ val surface : t -> string -> unit
 
 (** {1 Accounting} *)
 
-val ops_executed : t -> int
-
 val timing : t -> float * float
 (** [(real CPU seconds spent in op bodies, virtual device seconds)] —
     see {!Costmodel} and the harness's runtime measurement model. *)

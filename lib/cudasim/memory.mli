@@ -30,12 +30,6 @@ val host_malloc :
 val malloc :
   ?tag:string -> Device.t -> ty:Typeart.Typedb.ty -> count:int -> Memsim.Ptr.t
 
-val malloc_managed :
-  ?tag:string -> Device.t -> ty:Typeart.Typedb.ty -> count:int -> Memsim.Ptr.t
-
-val host_alloc :
-  ?tag:string -> Device.t -> ty:Typeart.Typedb.ty -> count:int -> Memsim.Ptr.t
-
 (** {1 Transfers} *)
 
 val memcpy :

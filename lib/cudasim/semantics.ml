@@ -12,10 +12,6 @@
 
 open Memsim
 
-let is_host = function
-  | Space.Host_pageable | Space.Host_pinned -> true
-  | Space.Device | Space.Managed -> false
-
 (* cudaMemcpy / cudaMemcpyAsync: does the call block the host? *)
 let actual_memcpy_blocks ~src ~dst ~async =
   if async then

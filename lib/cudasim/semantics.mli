@@ -9,8 +9,6 @@
       assumes it is {e not} synchronizing, so latent races are reported
       even when current hardware happens to serialize them. *)
 
-val is_host : Memsim.Space.t -> bool
-
 val actual_memcpy_blocks :
   src:Memsim.Space.t -> dst:Memsim.Space.t -> async:bool -> bool
 (** The synchronous variant blocks except for device-to-device copies;

@@ -54,9 +54,3 @@ val attach :
 
 val counters : t -> Counters.t
 (** The CUDA event counters of Table I for this device/rank. *)
-
-val stream_key : int -> int
-(** Synchronization key for a stream's completion clock (exposed for
-    tests; disjoint from MUST's request keys). *)
-
-val event_key : int -> int

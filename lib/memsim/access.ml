@@ -29,9 +29,6 @@ let check_host_elt p ~elt i =
   check_host_space p
 
 let f64_size = 8
-let f32_size = 4
-let i32_size = 4
-let i64_size = 8
 
 (* --- the word store ------------------------------------------------- *)
 

@@ -22,11 +22,6 @@ exception Misaligned_address of string
     hardware, an 8-byte device access at such an address fails with
     [cudaErrorMisalignedAddress]. The payload names the pointer. *)
 
-val f64_size : int
-val f32_size : int
-val i32_size : int
-val i64_size : int
-
 (** {1 Raw accessors} — no hooks, no host/device policing. Indices are
     in elements of the respective size. *)
 

@@ -107,13 +107,10 @@ exception Revoked
 (** The communicator was revoked; only {!shrink}/{!agree} still work. *)
 
 val create : int -> t
-val check_rank : t -> int -> unit
 
 (* --- failure detector --- *)
 
 val is_dead : t -> int -> bool
-val any_dead : t -> bool
-val live_ranks : t -> int list
 val live_count : t -> int
 val failed_ranks : t -> int list
 (** Local ranks known to have crashed, ascending. *)
@@ -127,12 +124,6 @@ val mark_dead : t -> world_rank:int -> unit
     requests, complete resilient rounds that were only waiting on the
     dead rank, and wake blocked peers so their wait predicates raise
     {!Proc_failed}. Idempotent. *)
-
-val has_matching_msg : t -> posted_recv -> bool
-(** A pending message (delayed ones included) could complete this
-    receive. Wait predicates use this to distinguish "dead peer, data
-    already in flight" (deliverable) from "dead peer, nothing coming"
-    (fail the receive). *)
 
 (* --- point-to-point --- *)
 

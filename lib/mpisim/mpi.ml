@@ -17,7 +17,6 @@ exception Abort of string
 (* --- error handling and fault injection --------------------------------- *)
 
 let comm_set_errhandler ctx eh = ctx.comm.Comm.errhandler <- eh
-let comm_get_errhandler ctx = ctx.comm.Comm.errhandler
 let last_error ctx = ctx.comm.Comm.last_errcode.(ctx.rank)
 let error_string = Comm.errcode_to_string
 

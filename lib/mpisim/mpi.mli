@@ -44,8 +44,6 @@ val run :
 val comm_set_errhandler : ctx -> Comm.errhandler -> unit
 (** [MPI_Comm_set_errhandler] on the world communicator. *)
 
-val comm_get_errhandler : ctx -> Comm.errhandler
-
 val last_error : ctx -> Comm.errcode
 (** The calling rank's last error class ([Err_success] if none). Error
     codes persist across successful calls, like [errno]. *)

@@ -21,9 +21,6 @@ type t
 
 val create : unit -> t
 
-val epoch_key : wid:int -> epoch:int -> int
-val fresh_key : unit -> int
-
 val reset_keys : unit -> unit
 (** Reset the domain-local completion-key counter; called by the
     harness between independent runs. *)

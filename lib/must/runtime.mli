@@ -28,9 +28,6 @@ val errors : t -> Errors.t list
 
 val mpi_calls : t -> int
 
-val req_key : int -> int
-(** Synchronization key for a request id (exposed for tests). *)
-
 (** {1 RMA (one-sided) analysis}
 
     A Put/Get/Accumulate's window access lands in the {e target} rank's

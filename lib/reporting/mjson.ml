@@ -322,11 +322,20 @@ let parse_number p =
         | Some f -> Float f
         | None -> error p (Printf.sprintf "bad number %S" tok))
 
-let rec parse_value p =
+(* Containers nest at most this deep. The parser recurses once per
+   level, so without a cap one frame of a million '[' holds the caller
+   for tens of milliseconds and grows its stack by tens of megabytes;
+   nothing the tools write comes near it. *)
+let max_depth = 1024
+
+(* [depth] counts the containers enclosing the value under the cursor. *)
+let rec parse_value p depth =
   skip_ws p;
   if at_end p then error p "unexpected end of input"
   else
     match cur p with
+    | ('{' | '[') when depth = max_depth ->
+        error p (Printf.sprintf "nesting deeper than %d levels" max_depth)
     | '{' ->
         advance p;
         skip_ws p;
@@ -334,7 +343,7 @@ let rec parse_value p =
           advance p;
           Obj []
         end
-        else parse_members p []
+        else parse_members p (depth + 1) []
     | '[' ->
         advance p;
         skip_ws p;
@@ -342,7 +351,7 @@ let rec parse_value p =
           advance p;
           List []
         end
-        else parse_elements p []
+        else parse_elements p (depth + 1) []
     | '"' ->
         advance p;
         Str (parse_string_body p)
@@ -351,34 +360,34 @@ let rec parse_value p =
     | 'n' -> literal p "null" Null
     | _ -> parse_number p
 
-and parse_members p acc =
+and parse_members p depth acc =
   skip_ws p;
   expect p '"';
   let k = parse_string_body p in
   skip_ws p;
   expect p ':';
-  let v = parse_value p in
+  let v = parse_value p depth in
   skip_ws p;
   if at_end p then error p "expected , or } in object"
   else
     match cur p with
     | ',' ->
         advance p;
-        parse_members p ((k, v) :: acc)
+        parse_members p depth ((k, v) :: acc)
     | '}' ->
         advance p;
         Obj (List.rev ((k, v) :: acc))
     | _ -> error p "expected , or } in object"
 
-and parse_elements p acc =
-  let v = parse_value p in
+and parse_elements p depth acc =
+  let v = parse_value p depth in
   skip_ws p;
   if at_end p then error p "expected , or ] in array"
   else
     match cur p with
     | ',' ->
         advance p;
-        parse_elements p (v :: acc)
+        parse_elements p depth (v :: acc)
     | ']' ->
         advance p;
         List (List.rev (v :: acc))
@@ -386,7 +395,7 @@ and parse_elements p acc =
 
 let of_string s =
   let p = { s; pos = 0 } in
-  match parse_value p with
+  match parse_value p 0 with
   | v ->
       skip_ws p;
       if p.pos <> String.length s then

@@ -39,7 +39,8 @@ val of_string : string -> (t, string) result
 (** Parse one JSON document, surrounded by optional whitespace. An
     [Error] names the byte offset where parsing stopped. A number that
     reads as an OCaml [int] is an [Int]; any other number is a
-    [Float]. *)
+    [Float]. Arrays and objects nest at most 1024 deep: the container
+    that would open level 1025 is an error. *)
 
 (** {1 Accessors} *)
 

@@ -8,9 +8,6 @@ module Mjson = Reporting.Mjson
 
 val schema : string
 
-val accepted_schemas : string list
-(** Schemas {!parse_request} accepts (current plus ["cusand/1"]). *)
-
 val max_frame : int
 (** Upper bound on a frame's byte length; longer frames are refused. *)
 

@@ -44,8 +44,5 @@ val offset_write : Kir.Ir.modul
 val unknown_stride : Kir.Ir.modul
 val divergent_barrier : Kir.Ir.modul
 val exchange_nobarrier : Kir.Ir.modul
-val chain_two_missing : Kir.Ir.modul
-val sandwich_one_point : Kir.Ir.modul
-val masked_stride : Kir.Ir.modul
 
 val all : entry list

@@ -22,7 +22,4 @@ type t = {
   args : (string * string) list;
 }
 
-val pp_line : Format.formatter -> t -> unit
-(** One-line rendering, used when reports embed recent history. *)
-
 val to_line : t -> string

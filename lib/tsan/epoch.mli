@@ -3,11 +3,6 @@
     access" in shadow cells. Epoch 0 means "never accessed"; clocks
     therefore start at 1. *)
 
-val tid_shift : int
-(** Number of clock bits (fiber id lives above them). *)
-
-val clock_mask : int
-
 val none : int
 (** The "never accessed" epoch. *)
 

@@ -25,8 +25,6 @@ type t = {
           when the race was detected *)
 }
 
-val kind_str : [ `Read | `Write ] -> string
-
 val set_symbolizer : (int -> string option) -> unit
 (** Resolves raw addresses to allocation descriptions in new reports.
     The harness points this at the simulated heap; defaults to

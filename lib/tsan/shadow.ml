@@ -95,7 +95,6 @@ let create ?(granule = 8) () =
   }
 
 let version t = t.version
-let cells_of region = region.ncells
 
 (* --- accounting ------------------------------------------------------ *)
 

@@ -25,9 +25,6 @@ val page_shift : int
 
 val cells_per_page : int
 
-val cell_bytes : int
-(** Bytes of shadow per cell (four shadow words). *)
-
 val page_bytes : int
 (** Accounted cost of a materialized (per-cell) page. *)
 
@@ -78,8 +75,6 @@ val create : ?granule:int -> unit -> t
 val version : t -> int
 (** Bumped on every map/unmap; validates the detector's per-fiber
     last-hit region cache. *)
-
-val cells_of : region -> int
 
 val map : ?wild:bool -> t -> base:int -> size:int -> region
 (** Reserve shadow for an allocation (no memory is accounted yet).

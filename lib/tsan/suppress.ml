@@ -55,5 +55,3 @@ let parse content =
                in
                if kind = "race" && pattern <> "" then Some pattern else None
            | None -> None)
-
-let of_file_content content = of_list (parse content)

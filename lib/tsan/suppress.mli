@@ -26,5 +26,3 @@ val parse : string -> string list
 (** Parse TSan suppressions-file syntax: one ["<kind>:<pattern>"] rule
     per line, ['#'] comments. Only ["race:"] rules apply to data-race
     reports; other kinds are accepted and ignored. *)
-
-val of_file_content : string -> t

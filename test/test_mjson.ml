@@ -168,11 +168,25 @@ let number_gen =
       digits
       (oneofl [ ""; ""; ""; ".5"; "e3"; "E-2"; "."; "e"; "e400"; " "; ","; "]" ]))
 
+(* The reference parser has no nesting cap, so both properties must stay
+   far below the codec's 1024 levels: [value_gen] nests at most 4 deep,
+   a [bytes_gen] string holds at most 30 brackets, and a number token
+   at most one. *)
 let prop_parser_matches_reference =
   QCheck.Test.make ~name:"parser = reference" ~count:1000 ~long_factor:20
     (QCheck.make ~print:(Printf.sprintf "%S")
        QCheck.Gen.(frequency [ (2, bytes_gen); (4, mutated_gen); (2, number_gen) ]))
     (fun s -> compare (M.of_string s) (R.of_string s) = 0)
+
+(* A million '[' stops at the container that would open level 1025,
+   instead of recursing a million times. *)
+let nesting_capped () =
+  let cap = String.make 1024 '[' ^ String.make 1024 ']' in
+  Alcotest.(check bool) "1024 levels parse" true (Result.is_ok (M.of_string cap));
+  Alcotest.(check (result reject string))
+    "1,000,000 levels"
+    (Error "at offset 1024: nesting deeper than 1024 levels")
+    (M.of_string (String.make 1_000_000 '['))
 
 let () =
   Alcotest.run "mjson"
@@ -181,5 +195,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_writer_matches_reference;
           QCheck_alcotest.to_alcotest prop_parser_matches_reference;
+          Alcotest.test_case "nesting capped" `Quick nesting_capped;
         ] );
     ]

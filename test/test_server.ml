@@ -693,6 +693,24 @@ let daemon_protocol_errors_survive () =
   in
   Alcotest.(check int) "client errors counted" 3 stats.D.client_errors
 
+(* A frame of a million '[' fits the frame bound but not the JSON
+   nesting cap: one error reply naming the cap, and the accept loop goes
+   on to answer a health check. *)
+let daemon_nesting_bomb_survived () =
+  let (), stats =
+    with_daemon (fun path _t ->
+        let r = rpc_raw path (String.make 1_000_000 '[' ^ "\n") ~tear:false in
+        Alcotest.(check (option string)) "nesting bomb -> error reply"
+          (Some "error") (member_str "status" r);
+        Alcotest.(check (option string)) "the error names the cap"
+          (Some "bad JSON: at offset 1024: nesting deeper than 1024 levels")
+          (member_str "message" r);
+        let h = rpc path P.Health in
+        Alcotest.(check (option string)) "alive after nesting bomb" (Some "ok")
+          (member_str "status" h))
+  in
+  Alcotest.(check int) "client error counted" 1 stats.D.client_errors
+
 (* Occupy the single worker with a spin long enough to observe the
    daemon under load, then check backpressure and health-under-load. *)
 let daemon_backpressure () =
@@ -1102,6 +1120,8 @@ let () =
           Alcotest.test_case "crash isolation" `Quick daemon_crash_isolated;
           Alcotest.test_case "protocol abuse survived" `Quick
             daemon_protocol_errors_survive;
+          Alcotest.test_case "nesting bomb survived" `Quick
+            daemon_nesting_bomb_survived;
           Alcotest.test_case "backpressure + health under load" `Quick
             daemon_backpressure;
           Alcotest.test_case "drain cancels stragglers" `Quick
