@@ -113,22 +113,25 @@ let () =
                 (fun pm -> pm.Harness.Run.pm_rank = rank)
                 res.Harness.Run.post_mortems
             in
-            if dead then Fmt.pr "  rank %d: crashed@." rank
-            else begin
-              incr survivors;
-              let norm = cfg.Apps.Jacobi.results.(rank) in
-              let ok =
-                Float.abs (norm -. expect) <= 1e-9 *. Float.max 1. expect
-              in
-              if ok then incr converged;
-              Fmt.pr "  rank %d: final norm %.12g (reference %.12g)%s%s@." rank
-                norm expect
-                (if out.Apps.Jacobi.recovered.(rank) then
-                   Fmt.str ", recovered (restarted from iteration %d)"
-                     out.Apps.Jacobi.restart_iter.(rank)
-                 else "")
-                (if ok then "" else " MISMATCH")
-            end
+            match List.assoc_opt rank res.Harness.Run.failures with
+            | _ when dead -> Fmt.pr "  rank %d: crashed@." rank
+            | Some why ->
+                incr survivors;
+                Fmt.pr "  rank %d: failed: %s@." rank why
+            | None ->
+                incr survivors;
+                let norm = cfg.Apps.Jacobi.results.(rank) in
+                let ok =
+                  Float.abs (norm -. expect) <= 1e-9 *. Float.max 1. expect
+                in
+                if ok then incr converged;
+                Fmt.pr "  rank %d: final norm %.12g (reference %.12g)%s%s@." rank
+                  norm expect
+                  (if out.Apps.Jacobi.recovered.(rank) then
+                     Fmt.str ", recovered (restarted from iteration %d)"
+                       out.Apps.Jacobi.restart_iter.(rank)
+                   else "")
+                  (if ok then "" else " MISMATCH")
           done;
           Fmt.pr "%d fault(s) injected; %d survivor(s), %d converged@."
             (List.length res.Harness.Run.fault_log)

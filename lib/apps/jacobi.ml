@@ -120,11 +120,17 @@ let device_module =
 (* Native "fat binary" implementations, bit-identical to the IR. Each
    checks, before its first write, the element range its loop touches
    ([Memsim.Access.f64_extent]) and then reads and writes the words of
-   the allocation in place with [Float.Array.get]/[set], which inline
-   to bounds-checked loads and stores, so no float is boxed and no C
-   function is called in the loop. *)
+   the allocation in place, unboxed and without a C call. Elementwise
+   loops index [base + t] for [t] below the extent's own count; the
+   stencil guards each row with [Memsim.Access.f64_span]. Inside those
+   spans the words move with [Float.Array.unsafe_get]/[unsafe_set]: the
+   extent already covers them, so a per-word bounds check could never
+   fire. Cells are visited in thread order, row by row, so no cell's
+   coordinates are found by division. *)
 
-let extent = Memsim.Access.f64_extent
+module Access = Memsim.Access
+
+let extent = Access.f64_extent
 
 let native_jacobi ~grid:_ (args : Kir.Interp.value array) =
   match args with
@@ -132,33 +138,45 @@ let native_jacobi ~grid:_ (args : Kir.Interp.value array) =
       if nx > 2 && ny > 2 then begin
         (* Highest cells touched: aold[c + nx] and anew[c] for the last
            interior cell c = (ny - 1) * nx - 2. *)
-        let ow, oo = extent aold ~count:((ny * nx) - 1) in
-        let nw, no = extent anew ~count:(((ny - 1) * nx) - 1) in
+        let cells = Access.grid_cells ~nx ~ny in
+        let on = cells - 1 and nn = cells - nx - 1 in
+        let ow, oo = extent aold ~count:on in
+        let nw, no = extent anew ~count:nn in
         for y = 1 to ny - 2 do
+          let row = y * nx in
+          (* Row y reads aold from its upper neighbour of x = 1 to the
+             lower neighbour of x = nx - 2, and writes anew[row + 1 ..
+             row + nx - 2]. *)
+          Access.f64_span ~count:on (row - nx + 1) (row + nx + nx - 2);
+          Access.f64_span ~count:nn (row + 1) (row + nx - 2);
+          let o = oo + row and n = no + row in
+          let up = o - nx and down = o + nx in
           for x = 1 to nx - 2 do
-            let c = (y * nx) + x in
-            let o = oo + c in
-            Float.Array.set nw (no + c)
+            Float.Array.unsafe_set nw (n + x)
               (0.25
-              *. (Float.Array.get ow (o - nx)
-                 +. Float.Array.get ow (o + nx)
-                 +. Float.Array.get ow (o - 1)
-                 +. Float.Array.get ow (o + 1)))
+              *. (Float.Array.unsafe_get ow (up + x)
+                 +. Float.Array.unsafe_get ow (down + x)
+                 +. Float.Array.unsafe_get ow (o + x - 1)
+                 +. Float.Array.unsafe_get ow (o + x + 1)))
           done
         done
       end
   | _ -> invalid_arg "native_jacobi"
 
+(* Thread t is in row t / nx, so row 0 is threads t < |nx| (division
+   truncates toward zero); with nx = 0 the IR divides by zero. *)
 let native_init ~grid (args : Kir.Interp.value array) =
   match args with
   | [| VPtr a; VPtr anew; VInt nx; VInt _; VInt has_top |] ->
       let aw, ao = extent a ~count:grid in
       let nw, no = extent anew ~count:grid in
+      if grid > 0 && nx = 0 then raise Division_by_zero;
+      let top = if nx > 0 then min grid nx else if nx > -grid then -nx else grid in
+      let v = if has_top = 1 then 1.0 else 0.0 in
       for t = 0 to grid - 1 do
-        let y = t / nx in
-        let v = if y = 0 && has_top = 1 then 1.0 else 0.0 in
-        Float.Array.set aw (ao + t) v;
-        Float.Array.set nw (no + t) v
+        let v = if t < top then v else 0.0 in
+        Float.Array.unsafe_set aw (ao + t) v;
+        Float.Array.unsafe_set nw (no + t) v
       done
   | _ -> invalid_arg "native_init"
 
@@ -170,10 +188,12 @@ let native_norm ~grid:_ (args : Kir.Interp.value array) =
       let rw, ro = extent out ~count:1 in
       let s = ref 0. in
       for i = 0 to n - 1 do
-        let d = Float.Array.get nw (no + i) -. Float.Array.get ow (oo + i) in
+        let d =
+          Float.Array.unsafe_get nw (no + i) -. Float.Array.unsafe_get ow (oo + i)
+        in
         s := !s +. (d *. d)
       done;
-      Float.Array.set rw ro !s
+      Float.Array.unsafe_set rw ro !s
   | _ -> invalid_arg "native_norm"
 
 (* --- host code ---------------------------------------------------------- *)
@@ -318,7 +338,8 @@ let resilient_outcome ~nranks =
 
    Restriction: Sendrecv exchange only (windows pin buffer identity
    across ranks, which re-decomposition breaks), and ny must divide by
-   every survivor count the fault plan can produce. *)
+   every survivor count the fault plan can produce; where it does not,
+   the survivors fail with [Mpi.Abort] naming ny and their count. *)
 let resilient_app (cfg : config) (out : resilient_outcome)
     (env : Harness.Run.env) =
   let module Resil = Resilience in
@@ -369,8 +390,14 @@ let resilient_app (cfg : config) (out : resilient_outcome)
   let row r buf = Memsim.Ptr.add buf ~elt:8 (r * nx) in
   let setup_epoch () =
     let size = (!ctx).Mpi.size and rank = (!ctx).Mpi.rank in
+    (* Which crashes a fault plan leaves is known only at run time, so a
+       survivor count that does not divide ny is this rank's diagnosed
+       failure, recorded by the harness, not a crash of the process. *)
     if cfg.ny mod size <> 0 then
-      invalid_arg "Jacobi.resilient_app: ny must divide by survivor count";
+      raise
+        (Mpi.Abort
+           (Fmt.str "Jacobi: ny = %d rows do not divide over %d survivor(s)"
+              cfg.ny size));
     let nyl = cfg.ny / size in
     r_nyl := nyl;
     r_rows := nyl + 2;

@@ -167,30 +167,52 @@ let device_module =
 
 (* Each kernel checks, before its first write, the element range its
    loop touches ([Memsim.Access.f64_extent]), then reads and writes the
-   words of the allocation in place with [Float.Array.get]/[set], which
-   inline to bounds-checked loads and stores, so no float is boxed and
-   no C function is called in the loop. *)
+   words of the allocation in place, unboxed and without a C call.
+   Elementwise loops index [base + t] for [t] below the extent's own
+   count; the stencils guard each row with [Memsim.Access.f64_span].
+   Inside those spans the words move with
+   [Float.Array.unsafe_get]/[unsafe_set]: the extent already covers
+   them, so a per-word bounds check could never fire. Grids are walked
+   row by row in thread order, boundary cells outside the interior loop,
+   so no cell's coordinates are found by division. *)
 
-let extent = Memsim.Access.f64_extent
+module Access = Memsim.Access
+
+let extent = Access.f64_extent
 
 (* Element counts of the interior stencil on an nx × ny grid: up to the
    last interior cell (the cell written or read at t), and up to its
    lower neighbour (the highest cell the stencil reads). Both are 0 when
    the grid has no interior. *)
-let interior_cells ~nx ~ny = if nx > 2 && ny > 2 then ((ny - 1) * nx) - 1 else 0
-let stencil_cells ~nx ~ny = if nx > 2 && ny > 2 then (ny * nx) - 1 else 0
+let interior_cells ~nx ~ny =
+  if nx > 2 && ny > 2 then Access.grid_cells ~nx ~ny - nx - 1 else 0
 
+let stencil_cells ~nx ~ny =
+  if nx > 2 && ny > 2 then Access.grid_cells ~nx ~ny - 1 else 0
+
+(* Thread t is column t mod nx of row t / nx. Rows are |nx| wide
+   (division truncates toward zero), and with nx = 0 the IR divides by
+   zero; the apps pass nx >= 1. *)
 let native_init ~grid (args : Kir.Interp.value array) =
   match args with
   | [| VPtr u; VInt nx; VInt gny; VInt y_off |] ->
       let uw, uo = extent u ~count:grid in
-      for t = 0 to grid - 1 do
-        let x = t mod nx and gy = y_off + (t / nx) in
-        let hot =
-          nx / 4 <= x && x < 3 * nx / 4 && gny / 4 <= gy && gy < 3 * gny / 4
-        in
-        Float.Array.set uw (uo + t) (if hot then 2.0 else 0.5)
-      done
+      if grid > 0 then begin
+        if nx = 0 then raise Division_by_zero;
+        let width = if nx > 0 then nx else if nx > -grid then -nx else grid in
+        let x_lo = nx / 4 and x_hi = 3 * nx / 4 in
+        let y_lo = gny / 4 and y_hi = 3 * gny / 4 in
+        for r = 0 to (grid - 1) / width do
+          let gy = y_off + (if nx > 0 then r else -r) in
+          let hot_row = y_lo <= gy && gy < y_hi in
+          let t0 = r * width in
+          let o = uo + t0 in
+          for x = 0 to min width (grid - t0) - 1 do
+            let hot = hot_row && x_lo <= x && x < x_hi in
+            Float.Array.unsafe_set uw (o + x) (if hot then 2.0 else 0.5)
+          done
+        done
+      end
   | _ -> invalid_arg "native_init"
 
 let native_copy ~grid (args : Kir.Interp.value array) =
@@ -200,53 +222,92 @@ let native_copy ~grid (args : Kir.Interp.value array) =
       let sw, so = extent src ~count in
       let dw, dof = extent dst ~count in
       for t = 0 to count - 1 do
-        Float.Array.set dw (dof + t) (Float.Array.get sw (so + t))
+        Float.Array.unsafe_set dw (dof + t) (Float.Array.unsafe_get sw (so + t))
       done
   | _ -> invalid_arg "native_copy"
+
+(* Row y of an nx × ny grid is cells [y * nx, y * nx + nx - 1]; it has
+   interior cells 1 .. nx - 2 unless it is the first or last row or the
+   grid is at most two columns wide. Every row is checked against the
+   [cells] of its destination extent, and an interior row's stencil
+   reads against the [stencil] extent. *)
+let[@inline] interior_row ~nx ~ny y = y > 0 && y < ny - 1 && nx > 2
 
 let native_matvec ~grid:_ (args : Kir.Interp.value array) =
   match args with
   | [| VPtr w; VPtr pv; VInt nx; VInt ny; VFlt a |] ->
-      let pw, po = extent pv ~count:(stencil_cells ~nx ~ny) in
-      let ww, wo = extent w ~count:(nx * ny) in
-      for t = 0 to (nx * ny) - 1 do
-        let x = t mod nx and y = t / nx in
-        if 1 <= x && x <= nx - 2 && 1 <= y && y <= ny - 2 then begin
-          let o = po + t in
-          Float.Array.set ww (wo + t)
-            (((1. +. (4. *. a)) *. Float.Array.get pw o)
-            -. (a
-               *. (Float.Array.get pw (o - nx)
-                  +. Float.Array.get pw (o + nx)
-                  +. Float.Array.get pw (o - 1)
-                  +. Float.Array.get pw (o + 1))))
+      let stencil = stencil_cells ~nx ~ny and cells = Access.grid_cells ~nx ~ny in
+      let pw, po = extent pv ~count:stencil in
+      let ww, wo = extent w ~count:cells in
+      let diag = 1. +. (4. *. a) in
+      for y = 0 to (if cells > 0 then ny - 1 else -1) do
+        let row = y * nx in
+        let last = row + nx - 1 in
+        Access.f64_span ~count:cells row last;
+        if interior_row ~nx ~ny y then begin
+          Access.f64_span ~count:stencil (row - nx + 1) (last + nx - 1);
+          Float.Array.unsafe_set ww (wo + row) 0.;
+          for t = row + 1 to last - 1 do
+            let o = po + t in
+            Float.Array.unsafe_set ww (wo + t)
+              ((diag *. Float.Array.unsafe_get pw o)
+              -. (a
+                 *. (Float.Array.unsafe_get pw (o - nx)
+                    +. Float.Array.unsafe_get pw (o + nx)
+                    +. Float.Array.unsafe_get pw (o - 1)
+                    +. Float.Array.unsafe_get pw (o + 1))))
+          done;
+          Float.Array.unsafe_set ww (wo + last) 0.
         end
-        else Float.Array.set ww (wo + t) 0.
+        else
+          for t = row to last do
+            Float.Array.unsafe_set ww (wo + t) 0.
+          done
       done
   | _ -> invalid_arg "native_matvec"
 
+(* r = b - A u on interior cells, 0 elsewhere, then p = r: each cell's
+   value goes to r and then to p, as each IR thread stores r[t] and
+   copies it to p[t]. *)
 let native_cg_init ~grid:_ (args : Kir.Interp.value array) =
   match args with
   | [| VPtr r; VPtr pv; VPtr b; VPtr u; VInt nx; VInt ny; VFlt a |] ->
-      let bw, bo = extent b ~count:(interior_cells ~nx ~ny) in
-      let uw, uo = extent u ~count:(stencil_cells ~nx ~ny) in
-      let rw, ro = extent r ~count:(nx * ny) in
-      let pw, po = extent pv ~count:(nx * ny) in
-      for t = 0 to (nx * ny) - 1 do
-        let x = t mod nx and y = t / nx in
-        if 1 <= x && x <= nx - 2 && 1 <= y && y <= ny - 2 then begin
-          let o = uo + t in
-          Float.Array.set rw (ro + t)
-            (Float.Array.get bw (bo + t)
-            -. ((1. +. (4. *. a)) *. Float.Array.get uw o)
-            +. (a
-               *. (Float.Array.get uw (o - nx)
-                  +. Float.Array.get uw (o + nx)
-                  +. Float.Array.get uw (o - 1)
-                  +. Float.Array.get uw (o + 1))))
+      let interior = interior_cells ~nx ~ny and stencil = stencil_cells ~nx ~ny in
+      let cells = Access.grid_cells ~nx ~ny in
+      let bw, bo = extent b ~count:interior in
+      let uw, uo = extent u ~count:stencil in
+      let rw, ro = extent r ~count:cells in
+      let pw, po = extent pv ~count:cells in
+      let diag = 1. +. (4. *. a) in
+      let[@inline] put t v =
+        Float.Array.unsafe_set rw (ro + t) v;
+        Float.Array.unsafe_set pw (po + t) v
+      in
+      for y = 0 to (if cells > 0 then ny - 1 else -1) do
+        let row = y * nx in
+        let last = row + nx - 1 in
+        Access.f64_span ~count:cells row last;
+        if interior_row ~nx ~ny y then begin
+          Access.f64_span ~count:stencil (row - nx + 1) (last + nx - 1);
+          Access.f64_span ~count:interior (row + 1) (last - 1);
+          put row 0.;
+          for t = row + 1 to last - 1 do
+            let o = uo + t in
+            put t
+              (Float.Array.unsafe_get bw (bo + t)
+              -. (diag *. Float.Array.unsafe_get uw o)
+              +. (a
+                 *. (Float.Array.unsafe_get uw (o - nx)
+                    +. Float.Array.unsafe_get uw (o + nx)
+                    +. Float.Array.unsafe_get uw (o - 1)
+                    +. Float.Array.unsafe_get uw (o + 1))))
+          done;
+          put last 0.
         end
-        else Float.Array.set rw (ro + t) 0.;
-        Float.Array.set pw (po + t) (Float.Array.get rw (ro + t))
+        else
+          for t = row to last do
+            put t 0.
+          done
       done
   | _ -> invalid_arg "native_cg_init"
 
@@ -258,9 +319,11 @@ let native_dot ~grid:_ (args : Kir.Interp.value array) =
       let ow, oo = extent out ~count:1 in
       let s = ref 0. in
       for i = 0 to n - 1 do
-        s := !s +. (Float.Array.get xw (xo + i) *. Float.Array.get yw (yo + i))
+        s :=
+          !s
+          +. (Float.Array.unsafe_get xw (xo + i) *. Float.Array.unsafe_get yw (yo + i))
       done;
-      Float.Array.set ow oo !s
+      Float.Array.unsafe_set ow oo !s
   | _ -> invalid_arg "native_dot"
 
 let native_axpy ~grid (args : Kir.Interp.value array) =
@@ -270,8 +333,9 @@ let native_axpy ~grid (args : Kir.Interp.value array) =
       let yw, yo = extent ys ~count in
       let xw, xo = extent xs ~count in
       for t = 0 to count - 1 do
-        Float.Array.set xw (xo + t)
-          (Float.Array.get xw (xo + t) +. (s *. Float.Array.get yw (yo + t)))
+        Float.Array.unsafe_set xw (xo + t)
+          (Float.Array.unsafe_get xw (xo + t)
+          +. (s *. Float.Array.unsafe_get yw (yo + t)))
       done
   | _ -> invalid_arg "native_axpy"
 
@@ -282,8 +346,9 @@ let native_beta ~grid (args : Kir.Interp.value array) =
       let rw, ro = extent r ~count in
       let pw, po = extent pv ~count in
       for t = 0 to count - 1 do
-        Float.Array.set pw (po + t)
-          (Float.Array.get rw (ro + t) +. (beta *. Float.Array.get pw (po + t)))
+        Float.Array.unsafe_set pw (po + t)
+          (Float.Array.unsafe_get rw (ro + t)
+          +. (beta *. Float.Array.unsafe_get pw (po + t)))
       done
   | _ -> invalid_arg "native_beta"
 

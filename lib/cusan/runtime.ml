@@ -48,6 +48,11 @@ type t = {
   dev : D.t;
   counters : Counters.t;
   fibers : (int, T.fiber) Hashtbl.t; (* sid -> fiber *)
+  mutable tracked : int list; (* the sids in [fibers], ascending *)
+  mutable blocking : int list;
+      (* the sids of the device's live blocking user streams, ascending:
+         kept as streams are created and destroyed, so a default-stream
+         op does not rebuild the device's stream list *)
   host : T.fiber;
   annotation : annotation_mode;
   max_range_bytes : int option;
@@ -61,6 +66,12 @@ type t = {
 let stream_key sid = 0x1_0000_0000 + sid
 let event_key eid = 0x2_0000_0000 + eid
 
+(* [sid] into an ascending list of sids, once. *)
+let rec insert sid = function
+  | [] -> [ sid ]
+  | s :: rest as l ->
+      if sid < s then sid :: l else if sid = s then l else s :: insert sid rest
+
 let fiber_of t (s : D.stream) =
   match Hashtbl.find_opt t.fibers s.D.sid with
   | Some f -> f
@@ -73,12 +84,11 @@ let fiber_of t (s : D.stream) =
       in
       let f = T.fiber_create t.tsan name in
       Hashtbl.replace t.fibers s.D.sid f;
+      t.tracked <- insert s.D.sid t.tracked;
       t.counters.Counters.streams <- t.counters.Counters.streams + 1;
       f
 
-let blocking_user_streams t =
-  List.filter (fun (s : D.stream) -> not s.D.is_default && s.D.flags = D.Blocking)
-    (D.streams t.dev)
+let is_blocking_user (s : D.stream) = (not s.D.is_default) && s.D.flags = D.Blocking
 
 (* Extent of the accessed range behind a device pointer: TypeART's
    allocation query when available, the raw allocation extent otherwise
@@ -128,9 +138,7 @@ let device_op t (s : D.stream) ~label ~(ranges : range list) ~host_syncs =
        ("annotate:" ^ label));
   (if legacy then
      if s.D.is_default then
-       List.iter
-         (fun (u : D.stream) -> T.happens_after t.tsan (stream_key u.D.sid))
-         (blocking_user_streams t)
+       List.iter (fun sid -> T.happens_after t.tsan (stream_key sid)) t.blocking
      else if s.D.flags = D.Blocking then T.happens_after t.tsan (stream_key 0));
   T.with_context t.tsan label (fun () ->
       List.iter
@@ -143,9 +151,7 @@ let device_op t (s : D.stream) ~label ~(ranges : range list) ~host_syncs =
         ranges);
   T.happens_before t.tsan (stream_key s.D.sid);
   if legacy && s.D.is_default then
-    List.iter
-      (fun (u : D.stream) -> T.happens_before t.tsan (stream_key u.D.sid))
-      (blocking_user_streams t);
+    List.iter (fun sid -> T.happens_before t.tsan (stream_key sid)) t.blocking;
   T.switch_to_fiber t.tsan caller;
   if host_syncs then T.happens_after t.tsan (stream_key s.D.sid)
 
@@ -237,9 +243,7 @@ let sync_all_streams t =
      merges a clock into the host fiber, and a hash-order walk makes the
      merge order — and with it downstream epoch values and report text —
      depend on table internals rather than on the program. *)
-  Hashtbl.fold (fun sid _ acc -> sid :: acc) t.fibers []
-  |> List.sort compare
-  |> List.iter (fun sid -> T.happens_after t.tsan (stream_key sid))
+  List.iter (fun sid -> T.happens_after t.tsan (stream_key sid)) t.tracked
 
 (* Trace a sync-matrix decision: this call was modelled as host
    synchronization against [what ()] (paper, Table I). The label is a
@@ -250,7 +254,9 @@ let sync_probe call what =
 
 let on_event t phase (ev : D.api_event) =
   match (phase, ev) with
-  | D.Pre, D.Stream_create s -> ignore (fiber_of t s)
+  | D.Pre, D.Stream_create s ->
+      ignore (fiber_of t s);
+      if is_blocking_user s then t.blocking <- insert s.D.sid t.blocking
   | D.Pre, D.Kernel_launch { kernel; args; stream; grid } ->
       t.counters.Counters.kernels <- t.counters.Counters.kernels + 1;
       if kernel.K.access = None then
@@ -315,6 +321,7 @@ let on_event t phase (ev : D.api_event) =
       sync_probe "cudaEventQuery=ready" (fun () -> Fmt.str "event#%d" e.D.eid);
       T.happens_after t.tsan (event_key e.D.eid)
   | D.Post, D.Stream_destroy s ->
+      t.blocking <- List.filter (fun sid -> sid <> s.D.sid) t.blocking;
       (* Destroy completes outstanding work: host-synchronizing. *)
       sync_probe "cudaStreamDestroy" (fun () -> Fmt.str "stream#%d" s.D.sid);
       T.happens_after t.tsan (stream_key s.D.sid)
@@ -336,6 +343,11 @@ let attach ?(annotation = Whole) ?max_range_bytes ~tsan ~dev () =
       dev;
       counters = Counters.create ();
       fibers = Hashtbl.create 8;
+      tracked = [];
+      blocking =
+        List.filter_map
+          (fun (s : D.stream) -> if is_blocking_user s then Some s.D.sid else None)
+          (D.streams dev);
       host = T.current_fiber tsan;
       annotation;
       max_range_bytes;

@@ -104,24 +104,44 @@ let raw_set_i32 p i v = set_bits32 p i (Int32.of_int v)
 let raw_get_f32 p i = Int32.float_of_bits (get_bits32 p i)
 let raw_set_f32 p i v = set_bits32 p i (Int32.bits_of_float v)
 
-(* Checked extent for loops over f64 elements: one [Ptr.check] covering
+(* Checked extent for loops over f64 elements: one check covering
    elements [0, count), then the word store and the word index of
    element 0. Cross-module calls are never inlined under dune's dev
    profile (-opaque), so a per-element [raw_get_f64] boxes its result
    and re-checks liveness on every call; a caller that checks its
-   extent once and indexes the words with [Float.Array.get]/[set]
-   (bounds-checked primitives that inline) keeps its floats unboxed and
-   makes no C call per element. The element must be a whole word, so the
-   pointer must be 8-aligned, as for an 8-byte access on a GPU. An empty
-   extent touches nothing and so checks nothing, like a per-element loop
-   that never runs. *)
+   extent once indexes the words directly and keeps its floats unboxed.
+   [count] is compared against the words left by division
+   ([Ptr.check_count]), so a hostile count whose byte size wraps is
+   rejected, not waved through as a small one. The element must be a
+   whole word, so the pointer must be 8-aligned, as for an 8-byte access
+   on a GPU. An empty extent touches nothing and so checks nothing, like
+   a per-element loop that never runs. *)
 let f64_extent (p : Ptr.t) ~count =
   if count > 0 then begin
-    Ptr.check p (count * f64_size);
+    Ptr.check_count p ~elt:f64_size count;
     if p.Ptr.off land 7 <> 0 then
       raise (Misaligned_address (Fmt.str "%a" Ptr.pp p))
   end;
   (p.Ptr.alloc.Alloc.data, p.Ptr.off lsr 3)
+
+(* The guard in front of an unchecked run of words: elements [lo, hi]
+   lie inside an extent of [count] elements. Word [w + i] of that
+   extent, for [lo <= i <= hi], is then inside the word store, so a loop
+   over the run may use [Float.Array.unsafe_get]/[unsafe_set]. A kernel
+   whose extent covers its loop never fails it; failing means the
+   kernel's own arithmetic is wrong, which is a programming error. *)
+let f64_span ~count lo hi =
+  if lo < 0 || hi < lo || hi >= count then
+    invalid_arg
+      (Printf.sprintf "Access.f64_span: elements %d..%d outside an extent of %d"
+         lo hi count)
+
+(* Row-major grids: the product is bounded by division first, so hostile
+   dimensions give a count no extent holds instead of a wrapped one. *)
+let grid_cells ~nx ~ny =
+  if nx <= 0 || ny <= 0 then 0
+  else if ny > max_int / nx then max_int
+  else nx * ny
 
 (* --- instrumented host accessors ----------------------------------- *)
 

@@ -38,12 +38,28 @@ val f64_extent : Ptr.t -> count:int -> floatarray * int
     {!Ptr.Out_of_bounds}) and that [p] is 8-aligned
     ({!Misaligned_address}), then returns the word store [a] with the
     index [w] of the word holding element 0. Element [i < count] is then
-    word [w + i] of [a]; loops read and write it in place with
-    [Float.Array.get] / [Float.Array.set], bounds-checked primitives
-    that inline under [-opaque] and make no C call, where a per-element
-    {!raw_get_f64} call boxes its result. An empty extent
-    ([count <= 0]) checks nothing. Invisible to hooks, like the rest of
-    the raw family. *)
+    word [w + i] of [a]. [count] is compared against the words left by
+    division, so no [count], however large, passes as a smaller one. An
+    empty extent ([count <= 0]) checks nothing. Invisible to hooks, like
+    the rest of the raw family.
+
+    A loop reads and writes the extent's words in place, unboxed. An
+    elementwise loop over [i < count] may use
+    [Float.Array.unsafe_get]/[unsafe_set] on [w + i] directly; any other
+    index pattern goes through {!f64_span} first. *)
+
+val f64_span : count:int -> int -> int -> unit
+(** [f64_span ~count lo hi] guards an unchecked run of words: elements
+    [lo, hi] of an extent of [count] elements, checked once per run (a
+    stencil checks each row's lowest and highest element). A kernel
+    whose extent covers its loop never fails it.
+    @raise Invalid_argument unless [0 <= lo <= hi < count] *)
+
+val grid_cells : nx:int -> ny:int -> int
+(** [grid_cells ~nx ~ny] is the [nx * ny] elements of a row-major grid,
+    0 when either is below 1, and [max_int] when the product does not fit
+    an int: found by division, so that hostile dimensions give a count
+    that no extent holds instead of a wrapped one that an extent passes. *)
 
 val raw_blit : src:Ptr.t -> dst:Ptr.t -> bytes:int -> unit
 (** Bulk copy, invisible to instrumentation (DMA). [memmove] semantics:

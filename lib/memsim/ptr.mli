@@ -14,16 +14,23 @@ val addr : t -> int
 val space : t -> Space.t
 val remaining : t -> int
 
-val check : t -> int -> unit
-(** [check p bytes] validates liveness and that [bytes] fit from the
-    pointer's offset.
+val check_count : t -> elt:int -> int -> unit
+(** [check_count p ~elt n] validates liveness and that [n] elements of
+    [elt > 0] bytes fit from the pointer's offset: [n >= 0], the pointer
+    lies inside its allocation or one past its end, and [n] is at most
+    the whole elements left, compared by division, so no sum or product
+    of a hostile [n] can wrap past the check.
     @raise Alloc.Use_after_free
-    @raise Out_of_bounds *)
+    @raise Out_of_bounds naming the allocation and the request *)
+
+val check : t -> int -> unit
+(** [check p bytes] is [check_count p ~elt:1 bytes]. *)
 
 val check_elt : t -> elt:int -> int -> unit
 (** [check_elt p ~elt i] validates liveness and that element [i] of
-    [elt] bytes lies inside the allocation: [check p ((i + 1) * elt)],
-    and a negative [i] may not reach before its start.
+    [elt] bytes ([1 <= elt <= 8]) lies inside the allocation; a negative
+    [i] may not reach before its start. An offset or index beyond 2^58
+    is out of bounds before any product is formed.
     @raise Alloc.Use_after_free
     @raise Out_of_bounds naming the allocation and the element's byte
     range *)

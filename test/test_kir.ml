@@ -267,29 +267,38 @@ let launch_args bufs scalars =
 let contents (p : Memsim.Ptr.t) =
   Memsim.Access.raw_read_bytes (Memsim.Ptr.make p.alloc) ~bytes:p.alloc.size
 
+(* A buffer of [n] elements that [lead] elements precede and [slack]
+   follow in one allocation, every word of which is set from [seed]: a
+   kernel that strays outside the [n] reads real, distinct words. *)
+let padded_buffer ~seed (lead, n, slack) =
+  let words = lead + n + slack in
+  let a = dev_alloc words in
+  for i = 0 to words - 1 do
+    Memsim.Access.raw_set_f64 a i (sin (float (i + (101 * seed))))
+  done;
+  Memsim.Ptr.add a ~elt:8 lead
+
 (* Native implementations agree with the interpreted IR bit for bit,
    and check exactly the extents their loops touch. Each run gets fresh
    buffers (the pointer arguments, followed by [scalars]) with the same
-   non-trivial contents. After one launch of [grid] threads every
-   element of every buffer must carry the same bits on both sides. The
-   interpreter's tracer also yields the highest element each buffer
-   touches: shortening that buffer to end just below it must make the
-   native kernel raise [Out_of_bounds] before writing anything, and
-   ending it just after it must not raise. *)
-let native_matches m name native ~sizes ~scalars ~grid =
+   contents; buffer [k] has [sizes.(k)] elements between the lead and
+   slack of [pads.(k)] (none by default). After one launch of [grid]
+   threads every word of every allocation, lead and slack included,
+   must carry the same bits on both sides. The interpreter's tracer also
+   yields the highest element each buffer touches: shortening that
+   buffer, slack and all, to end just below it must make the native
+   kernel raise [Out_of_bounds] before writing anything, and ending it
+   just after it must not raise. *)
+let native_matches ?pads m name native ~sizes ~scalars ~grid =
   with_heap @@ fun () ->
-  let mk sizes =
+  let pads = Option.value pads ~default:(List.map (fun _ -> (0, 0)) sizes) in
+  let mk (sizes, pads) =
     List.mapi
-      (fun k n ->
-        let p = dev_alloc n in
-        for i = 0 to n - 1 do
-          Memsim.Access.raw_set_f64 p i (sin (float (i + (101 * k))))
-        done;
-        p)
-      sizes
+      (fun k (n, (lead, slack)) -> padded_buffer ~seed:k (lead, n, slack))
+      (List.combine sizes pads)
   in
   let args bufs = launch_args bufs scalars in
-  let ir = mk sizes in
+  let ir = mk (sizes, pads) in
   let last = Array.make (List.length sizes) (-1) in
   let touch (p : Memsim.Ptr.t) ~bytes:_ =
     List.iteri
@@ -299,18 +308,19 @@ let native_matches m name native ~sizes ~scalars ~grid =
   in
   Interp.run_kernel ~tracer:{ Interp.on_read = touch; on_write = touch } m
     ~name ~args:(args ir) ~grid;
-  let nat = mk sizes in
+  let nat = mk (sizes, pads) in
   native ~grid (args nat);
   List.iteri
-    (fun k (n, (a, b)) ->
-      for i = 0 to n - 1 do
-        Alcotest.(check int64)
-          (Printf.sprintf "%s: buffer %d element %d" name k i)
-          (Int64.bits_of_float (Memsim.Access.raw_get_f64 a i))
-          (Int64.bits_of_float (Memsim.Access.raw_get_f64 b i))
-      done)
-    (List.combine sizes (List.combine ir nat));
-  let resized k n = List.mapi (fun j s -> if j = k then n else s) sizes in
+    (fun k (a, b) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s: allocation of buffer %d" name k)
+        (Bytes.to_string (contents a))
+        (Bytes.to_string (contents b)))
+    (List.combine ir nat);
+  let resized k n =
+    ( List.mapi (fun j s -> if j = k then n else s) sizes,
+      List.mapi (fun j (lead, slack) -> if j = k then (lead, 0) else (lead, slack)) pads )
+  in
   Array.iteri
     (fun k hi ->
       if hi >= 0 then begin
@@ -370,30 +380,153 @@ let pingpong_native_matches_ir () =
   native_matches Apps.Pingpong.fill_src "fill" Apps.Pingpong.native_fill
     ~sizes:[ 32 ] ~scalars:[ VInt 28 ] ~grid:32
 
-(* All eleven native kernels, with arguments for an [nx] × [rows] grid:
-   the element count of each pointer argument, then the scalars, then
-   the launch grid. *)
-let native_kernels ~nx ~rows =
-  let open Apps in
+(* The scalars of one launch of every native kernel: an [nx] × [rows]
+   grid, an element count [n] for the elementwise kernels, the launch
+   [grid], the init kernels' [top] flag and [gny]/[y_off] rows, and the
+   float coefficients. *)
+type launch = {
+  nx : int;
+  rows : int;
+  n : int;
+  grid : int;
+  top : int;
+  gny : int;
+  y_off : int;
+  alpha : float;
+  s : float;
+  beta : float;
+}
+
+let square ~nx ~rows =
   let cells = nx * rows in
-  let k ?(grid = cells) name native sizes (scalars : Interp.value list) =
-    (name, native, sizes, scalars, grid)
+  {
+    nx;
+    rows;
+    n = cells;
+    grid = cells;
+    top = 1;
+    gny = rows;
+    y_off = 0;
+    alpha = 0.1;
+    s = 0.37;
+    beta = -1.25;
+  }
+
+(* All eleven native kernels with the IR module each mirrors, and the
+   element count of each pointer argument for [l]'s grid, then the
+   scalars and the launch grid. *)
+let native_kernels l =
+  let open Apps in
+  let cells = l.nx * l.rows in
+  let jm = Jacobi.device_module and tm = Tealeaf.device_module in
+  let k m name native sizes (scalars : Interp.value list) =
+    (m, name, native, sizes, scalars, l.grid)
   in
   let two = [ cells; cells ] in
-  let stencil = [ Interp.VInt nx; VInt rows; VFlt 0.1 ] in
+  let stencil = [ Interp.VInt l.nx; VInt l.rows; VFlt l.alpha ] in
   [
-    k "jacobi" Jacobi.native_jacobi two [ VInt nx; VInt rows ];
-    k "init" Jacobi.native_init two [ VInt nx; VInt rows; VInt 1 ];
-    k "norm" Jacobi.native_norm [ 1; cells; cells ] [ VInt (cells - (2 * nx)) ];
-    k "tl_init" Tealeaf.native_init [ cells ] [ VInt nx; VInt rows; VInt 0 ];
-    k "tl_copy" Tealeaf.native_copy two [ VInt cells ];
-    k "tl_matvec" Tealeaf.native_matvec two stencil;
-    k "tl_cg_init" Tealeaf.native_cg_init (two @ two) stencil;
-    k ~grid:1 "tl_dot" Tealeaf.native_dot [ 1; cells; cells ] [ VInt cells ];
-    k "tl_axpy" Tealeaf.native_axpy two [ VFlt 0.37; VInt cells ];
-    k "tl_beta" Tealeaf.native_beta two [ VFlt (-1.25); VInt cells ];
-    k "fill" Pingpong.native_fill [ cells ] [ VInt cells ];
+    k jm "jacobi" Jacobi.native_jacobi two [ VInt l.nx; VInt l.rows ];
+    k jm "init" Jacobi.native_init two [ VInt l.nx; VInt l.rows; VInt l.top ];
+    k jm "norm" Jacobi.native_norm [ 1; cells; cells ] [ VInt l.n ];
+    k tm "tl_init" Tealeaf.native_init [ cells ]
+      [ VInt l.nx; VInt l.gny; VInt l.y_off ];
+    k tm "tl_copy" Tealeaf.native_copy two [ VInt l.n ];
+    k tm "tl_matvec" Tealeaf.native_matvec two stencil;
+    k tm "tl_cg_init" Tealeaf.native_cg_init (two @ two) stencil;
+    k tm "tl_dot" Tealeaf.native_dot [ 1; cells; cells ] [ VInt l.n ];
+    k tm "tl_axpy" Tealeaf.native_axpy two [ VFlt l.s; VInt l.n ];
+    k tm "tl_beta" Tealeaf.native_beta two [ VFlt l.beta; VInt l.n ];
+    k Pingpong.fill_src "fill" Pingpong.native_fill [ cells ] [ VInt l.n ];
   ]
+
+let pp_launch l =
+  Printf.sprintf
+    "nx=%d rows=%d n=%d grid=%d top=%d gny=%d y_off=%d alpha=%h s=%h beta=%h"
+    l.nx l.rows l.n l.grid l.top l.gny l.y_off l.alpha l.s l.beta
+
+let gen_coefficient =
+  QCheck.Gen.(
+    frequency
+      [ (4, float_range (-4.) 4.); (1, oneofl [ 0.; -0.; 1e-300; 1e300 ]) ])
+
+(* Native = IR for every kernel on a random grid of 1..12 columns and
+   rows, random coefficients and counts, and 0-3 elements of lead and
+   of slack around every buffer, compared word for word with the slack;
+   plus the one-element-short rule of [native_matches]. *)
+let prop_native_matches_ir =
+  let gen =
+    QCheck.Gen.(
+      let* nx = int_range 1 12 and* rows = int_range 1 12 in
+      let cells = nx * rows in
+      let* n = int_range 0 cells
+      and* top = int_range 0 1
+      and* gny = int_range 1 24
+      and* y_off = int_range 0 12
+      and* alpha = gen_coefficient
+      and* s = gen_coefficient
+      and* beta = gen_coefficient
+      and* pads = list_repeat 4 (pair (int_range 0 3) (int_range 0 3)) in
+      return
+        ({ nx; rows; n; grid = cells; top; gny; y_off; alpha; s; beta }, pads))
+  in
+  QCheck.Test.make ~name:"native = IR on random grids, padded buffers"
+    ~count:200 ~long_factor:20
+    (QCheck.make
+       ~print:(fun (l, pads) ->
+         Printf.sprintf "%s pads=%s" (pp_launch l)
+           (String.concat ";"
+              (List.map (fun (a, b) -> Printf.sprintf "%d/%d" a b) pads)))
+       gen)
+    (fun (l, pads) ->
+      List.iter
+        (fun (m, name, native, sizes, scalars, grid) ->
+          let pads = List.filteri (fun i _ -> i < List.length sizes) pads in
+          native_matches ~pads m name native ~sizes ~scalars ~grid)
+        (native_kernels l);
+      true)
+
+(* Hostile scalars: counts and grid sizes whose products and sums wrap.
+   Every buffer is an allocation of 0-3 words with the pointer one past
+   its end, so any element a kernel writes is out of bounds: a kernel
+   must return having touched nothing or raise [Out_of_bounds] with
+   every byte unchanged — never [Invalid_argument] from a wrapped
+   extent, and never an unchecked access past the store. *)
+let hostile = [ -1; 0; 1; 2; 1 lsl 31; 1 lsl 32; 1 lsl 60; max_int ]
+
+let prop_native_hostile_scalars =
+  let gen =
+    QCheck.Gen.(
+      let h = oneofl hostile in
+      let* nx = h and* rows = h and* n = h and* grid = h and* top = h
+      and* gny = h and* y_off = h and* alpha = gen_coefficient
+      and* s = gen_coefficient and* beta = gen_coefficient
+      and* leads = list_repeat 4 (int_range 0 3) in
+      return ({ nx; rows; n; grid; top; gny; y_off; alpha; s; beta }, leads))
+  in
+  QCheck.Test.make ~name:"native kernels: hostile scalars never overrun"
+    ~count:200 ~long_factor:20
+    (QCheck.make
+       ~print:(fun (l, leads) ->
+         Printf.sprintf "%s leads=%s" (pp_launch l)
+           (String.concat ";" (List.map string_of_int leads)))
+       gen)
+    (fun (l, leads) ->
+      with_heap @@ fun () ->
+      List.for_all
+        (fun (_, name, native, sizes, scalars, grid) ->
+          let bufs =
+            List.mapi
+              (fun k _ -> padded_buffer ~seed:k (List.nth leads k, 0, 0))
+              sizes
+          in
+          let before = List.map contents bufs in
+          let unchanged () = List.for_all2 Bytes.equal (List.map contents bufs) before in
+          match native ~grid (launch_args bufs scalars) with
+          | () | (exception Memsim.Ptr.Out_of_bounds _) ->
+              unchanged () || QCheck.Test.fail_reportf "%s: wrote memory" name
+          | exception e ->
+              QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string e))
+        (native_kernels l))
 
 (* Boxing and copying cannot creep back into the kernels: one launch on
    a 64 × 64 grid allocates a handful of words, not one boxed float per
@@ -403,7 +536,7 @@ let native_kernels ~nx ~rows =
 let native_kernels_allocation_free () =
   with_heap @@ fun () ->
   List.iter
-    (fun (name, native, sizes, scalars, grid) ->
+    (fun (_, name, native, sizes, scalars, grid) ->
       let args = launch_args (List.map dev_alloc sizes) scalars in
       let minor0, promoted0, major0 = Gc.counters () in
       native ~grid args;
@@ -414,7 +547,7 @@ let native_kernels_allocation_free () =
       Alcotest.(check bool)
         (Printf.sprintf "%s: %.0f words < 1000" name words)
         true (words < 1000.))
-    (native_kernels ~nx:64 ~rows:64)
+    (native_kernels (square ~nx:64 ~rows:64))
 
 (* An f64 extent over a pointer that is not 8-aligned is a diagnosed
    error (cudaErrorMisalignedAddress on a GPU) raised before the kernel
@@ -423,7 +556,7 @@ let native_kernels_allocation_free () =
 let native_misaligned_extent_raises () =
   with_heap @@ fun () ->
   List.iter
-    (fun (name, native, sizes, scalars, grid) ->
+    (fun (_, name, native, sizes, scalars, grid) ->
       List.iteri
         (fun k _ ->
           let bufs =
@@ -453,7 +586,7 @@ let native_misaligned_extent_raises () =
                 (Bytes.equal (contents p) b))
             bufs before)
         sizes)
-    (native_kernels ~nx:8 ~rows:6)
+    (native_kernels (square ~nx:8 ~rows:6))
 
 (* --- the module memo ------------------------------------------------------- *)
 
@@ -1169,6 +1302,8 @@ let tests =
     Alcotest.test_case "jacobi native = IR" `Quick native_matches_ir;
     Alcotest.test_case "tealeaf native = IR" `Quick tealeaf_native_matches_ir;
     Alcotest.test_case "pingpong native = IR" `Quick pingpong_native_matches_ir;
+    QCheck_alcotest.to_alcotest prop_native_matches_ir;
+    QCheck_alcotest.to_alcotest prop_native_hostile_scalars;
     Alcotest.test_case "native kernels allocation-free" `Quick
       native_kernels_allocation_free;
     Alcotest.test_case "native kernels: misaligned extent raises" `Quick

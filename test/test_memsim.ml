@@ -263,6 +263,71 @@ let extent_use_after_free () =
   (* An empty extent touches nothing, so it checks nothing. *)
   ignore (Access.f64_extent p ~count:0)
 
+(* Hostile sizes: a request whose byte count or end would wrap, or that
+   is negative, is [Out_of_bounds] naming the allocation, never passed
+   as a small request (and never left to the word store's own
+   [Invalid_argument]). Nothing is written. *)
+let hostile_requests () =
+  with_clean @@ fun () ->
+  let p = Heap.alloc ~tag:"buf" Space.Device 64 in
+  let q = Ptr.add_bytes p 8 in
+  for i = 0 to 7 do
+    Access.raw_set_f64 p i (float i)
+  done;
+  let before = Access.raw_read_bytes p ~bytes:64 in
+  let oob what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Ptr.Out_of_bounds msg ->
+        Alcotest.(check bool)
+          (what ^ " names the allocation: " ^ msg)
+          true
+          (String.starts_with ~prefix:"buf#" msg)
+  in
+  List.iter
+    (fun n ->
+      let at what = Printf.sprintf "%s %d" what n in
+      oob (at "check") (fun () -> Ptr.check q n);
+      oob (at "check_count") (fun () -> Ptr.check_count q ~elt:8 n);
+      oob (at "check_elt") (fun () -> Ptr.check_elt q ~elt:8 n);
+      oob (at "raw_get_f64") (fun () -> Access.raw_get_f64 q n);
+      oob (at "raw_fill") (fun () -> Access.raw_fill q ~bytes:n ~byte:0xff);
+      oob (at "raw_read_bytes") (fun () -> Access.raw_read_bytes q ~bytes:n);
+      oob (at "raw_blit") (fun () -> Access.raw_blit ~src:p ~dst:q ~bytes:n);
+      if n > 0 then oob (at "f64_extent") (fun () -> Access.f64_extent q ~count:n))
+    [ max_int; 1 lsl 60; (1 lsl 60) + 1; (1 lsl 60) - 1; 1 lsl 59; -8; min_int ];
+  (* what is left still passes, to the byte and to the element *)
+  Ptr.check q 56;
+  Ptr.check_count q ~elt:8 7;
+  ignore (Access.f64_extent q ~count:7);
+  oob "check_count one past" (fun () -> Ptr.check_count q ~elt:8 8);
+  (* an empty extent checks nothing, however negative *)
+  ignore (Access.f64_extent q ~count:min_int);
+  Alcotest.(check bool) "nothing written" true
+    (Bytes.equal before (Access.raw_read_bytes p ~bytes:64))
+
+(* A grid's cell count is bounded by division: a product that wraps is
+   [max_int], which no extent holds, and a dimension below 1 has none. *)
+let grid_cells_bounded () =
+  let cells nx ny = Access.grid_cells ~nx ~ny in
+  Alcotest.(check int) "6 x 7" 42 (cells 6 7);
+  Alcotest.(check int) "2^32 x 2^31" max_int (cells (1 lsl 32) (1 lsl 31));
+  Alcotest.(check int) "max_int x 2" max_int (cells max_int 2);
+  Alcotest.(check int) "max_int x 1" max_int (cells max_int 1);
+  Alcotest.(check int) "0 columns" 0 (cells 0 5);
+  Alcotest.(check int) "-1 x -1" 0 (cells (-1) (-1))
+
+(* The span guard admits exactly the elements of its extent. *)
+let span_guard () =
+  Access.f64_span ~count:4 0 3;
+  Access.f64_span ~count:4 2 2;
+  List.iter
+    (fun (lo, hi) ->
+      match Access.f64_span ~count:4 lo hi with
+      | () -> Alcotest.failf "span %d..%d of 4 accepted" lo hi
+      | exception Invalid_argument _ -> ())
+    [ (-1, 0); (0, 4); (3, 2); (0, max_int); (min_int, 0) ]
+
 (* Property: f64 round-trips through the byte representation. *)
 let prop_f64_roundtrip =
   QCheck.Test.make ~name:"f64 roundtrip" ~count:200 QCheck.float (fun v ->
@@ -538,6 +603,9 @@ let tests =
     Alcotest.test_case "extent: offset pointer shifts base" `Quick
       extent_offset_base;
     Alcotest.test_case "extent: use after free" `Quick extent_use_after_free;
+    Alcotest.test_case "extent: hostile sizes raise" `Quick hostile_requests;
+    Alcotest.test_case "extent: grid cells bounded" `Quick grid_cells_bounded;
+    Alcotest.test_case "extent: span guard" `Quick span_guard;
     QCheck_alcotest.to_alcotest prop_f64_roundtrip;
     QCheck_alcotest.to_alcotest prop_disjoint_addrs;
     QCheck_alcotest.to_alcotest prop_word_store_matches_bytes;
